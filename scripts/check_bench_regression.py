@@ -9,20 +9,24 @@ reports, then gates them against the committed baselines::
         --baseline BENCH_horn.json --candidate BENCH_horn.new.json
 
 The gate fails (exit 1) when any case's mean wall-clock exceeds
-``--threshold`` (default 2.5x) times its baseline mean.  A case is
-noise-exempt only when *both* means sit below ``--min-seconds`` (default
-2ms) — at that scale the ratio measures timer jitter, not the solver,
-while a genuine blowup from a tiny baseline still trips the gate because
-the candidate side clears the floor.  Cases present on only one side are
-reported but never fail the gate (new benchmarks need a first run to
-become a baseline).
+``--threshold`` (default 2.5x) times its baseline mean, or when any
+deterministic work counter of a shared case differs from its baseline.
+A case is noise-exempt from the wall-clock test only when *both* means sit
+below ``--min-seconds`` (default 2ms) — at that scale the ratio measures
+timer jitter, not the solver, while a genuine blowup from a tiny baseline
+still trips the gate because the candidate side clears the floor.  Cases
+present on only one side are reported but never fail the gate (new
+benchmarks need a first run to become a baseline).
 
-The solver-behaviour counters in :data:`TRACKED_COUNTERS` (theory
-propagations, tableau pivots, generalized lemmas, minimized literals) are
-diffed report-only: a drift means the search behaved differently, which
-is exactly what triages a wall-clock change, but it is never a failure by
-itself.  Exactly one summary line is printed per invocation so the job
-log stays scannable.
+The work counters in :data:`TRACKED_COUNTERS` (theory propagations,
+tableau pivots, generalized lemmas, minimized literals, MUS and portfolio
+counts, cache hits and misses) repeat exactly from run to run and across
+hash seeds, so they are gated exactly: on every case both reports share,
+each tracked counter must match, a counter present on only one side
+included.  That catches an algorithmic regression far below the
+wall-clock tolerance; a deliberate change in search behaviour refreshes
+the baseline's ``counters`` with it.  Exactly one summary line is printed
+per invocation so the job log stays scannable.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 
-#: Counters whose drift between baseline and candidate is reported (but
-#: never gated): they fingerprint solver search behaviour, so an unchanged
-#: set means a wall-clock delta is machine noise, not a solver change.
+#: Deterministic counters that must match the baseline exactly on every
+#: shared case: they fingerprint search behaviour, so an unchanged set
+#: also means a wall-clock delta is machine noise, not a solver change.
 TRACKED_COUNTERS = (
     "theory_propagations",
     "tableau_pivots",
@@ -65,7 +69,7 @@ def load_counters(path: Path) -> Dict[str, Dict[str, int]]:
 def counter_drift(
     baseline: Dict[str, Dict[str, int]], candidate: Dict[str, Dict[str, int]]
 ) -> List[str]:
-    """Report-only notes for tracked counters that changed on shared cases."""
+    """One note per tracked counter that differs on a shared case."""
     notes: List[str] = []
     for name in sorted(set(baseline) & set(candidate)):
         base, fresh = baseline[name], candidate[name]
@@ -131,7 +135,7 @@ def main() -> int:
     suite = args.baseline.name
     notes = f"; skipped: {', '.join(skipped)}" if skipped else ""
     if drift:
-        notes += f"; counter drift (report-only): {', '.join(drift)}"
+        failures.append(f"counter drift: {', '.join(drift)}")
     if failures:
         print(f"perf gate [{suite}]: FAIL — {'; '.join(failures)}{notes}")
         return 1

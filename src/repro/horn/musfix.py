@@ -42,9 +42,9 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .. import limits
 from ..logic.formulas import Formula
-from ..smt.interface import SolverBackend
 from ..smt.sat import SatSolver
 from ..smt.sets import mentions_sets
+from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint
 from .spaces import QualifierSpace
 
@@ -86,12 +86,10 @@ class MusFixSolver:
     def __init__(
         self,
         spaces: Dict[str, QualifierSpace],
-        backend: Optional[SolverBackend] = None,
+        backend: Optional[IncrementalSolver] = None,
         budget: int = 64,
     ) -> None:
         if backend is None:
-            from ..smt.solver import IncrementalSolver
-
             backend = IncrementalSolver()
         self.spaces = spaces
         self.statistics = MusFixStatistics()

@@ -14,9 +14,9 @@ fan-out:
    run sequentially in-process (the serial fallback — same decomposition,
    so serial and parallel runs agree); otherwise each group is dispatched
    to a ``concurrent.futures.ProcessPoolExecutor`` worker, which builds
-   its own backend via a picklable module-level factory
-   (:func:`repro.smt.interface.new_backend`) and searches its branches to
-   exhaustion.
+   its own backend via a picklable factory (by default the
+   :class:`~repro.smt.solver.IncrementalSolver` class itself, which pickles
+   by reference) and searches its branches to exhaustion.
 3. The **lemma bus**: MUSes are facts about a constraint and its
    qualifier pool, independent of any candidate, so a MUS learned on one
    branch soundly prunes every other.  The coordinator seeds each
@@ -46,7 +46,7 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import limits
-from ..smt.interface import SolverBackend, new_backend
+from ..smt.solver import IncrementalSolver
 from ..testing import faults
 from .constraints import HornConstraint
 from .musfix import MusLemma
@@ -65,7 +65,7 @@ from .spaces import QualifierSpace, SpacesLike, as_space_map
 #: include it).
 BranchOutcome = Tuple[CandidateSearchResult, Optional[HornStatistics]]
 
-BackendFactory = Callable[[], SolverBackend]
+BackendFactory = Callable[[], IncrementalSolver]
 
 
 def _search_branch(
@@ -102,7 +102,7 @@ def solve_portfolio(
     spaces: SpacesLike,
     options: Optional[SolveOptions] = None,
     solver: Optional[HornSolver] = None,
-    backend_factory: BackendFactory = new_backend,
+    backend_factory: BackendFactory = IncrementalSolver,
 ) -> HornSolution:
     """Candidate-set Horn search with branches fanned across processes.
 

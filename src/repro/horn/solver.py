@@ -36,7 +36,7 @@ Pruning on the classic path is unsat-core style: a constraint's full
 valuation is first checked in one validity query; only when that fails
 does the solver descend to per-qualifier checks to identify exactly the
 conjuncts to drop.  All validity checks are issued through an incremental
-:class:`~repro.smt.interface.SolverBackend` — the premises of a constraint
+:class:`~repro.smt.solver.IncrementalSolver` — the premises of a constraint
 are asserted once per round and every per-qualifier probe runs in a
 sub-scope on top of them, so unchanged premises are never re-encoded.
 
@@ -48,9 +48,8 @@ preconditions.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import limits
@@ -58,7 +57,6 @@ from ..logic import ops
 from ..logic.formulas import Formula, Unknown
 from ..logic.substitution import apply_assignment, substitute
 from ..logic.transform import unknowns as formula_unknowns
-from ..smt.interface import SolverBackend
 from ..smt.sets import mentions_sets
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint, substitute_unknowns
@@ -228,7 +226,7 @@ def order_solutions(
 
 
 def screen_singletons(
-    backend: SolverBackend,
+    backend: IncrementalSolver,
     statistics: "HornStatistics",
     constraints: Sequence[HornConstraint],
     name: str,
@@ -322,23 +320,12 @@ def screen_singletons(
     return verdicts
 
 
-def resolve_options(options: Optional[SolveOptions], minimize: Optional[bool]) -> SolveOptions:
-    if minimize is not None:
-        warnings.warn(
-            "the minimize= keyword is deprecated; pass SolveOptions(minimize=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replace(options if options is not None else SolveOptions(), minimize=minimize)
-    return options if options is not None else SolveOptions()
-
-
 class HornSolver:
     """Solves systems of Horn constraints over predicate unknowns."""
 
     def __init__(
         self,
-        backend: Optional[SolverBackend] = None,
+        backend: Optional[IncrementalSolver] = None,
         validity_memo: Optional[Dict[Tuple[Tuple[Formula, ...], Formula], bool]] = None,
     ) -> None:
         self._backend = backend if backend is not None else IncrementalSolver()
@@ -355,7 +342,7 @@ class HornSolver:
         )
 
     @property
-    def backend(self) -> SolverBackend:
+    def backend(self) -> IncrementalSolver:
         """The incremental backend issuing this solver's validity checks."""
         return self._backend
 
@@ -366,8 +353,6 @@ class HornSolver:
         constraints: Sequence[HornConstraint],
         spaces: SpacesLike,
         options: Optional[SolveOptions] = None,
-        *,
-        minimize: Optional[bool] = None,
     ) -> HornSolution:
         """Find assignments making every constraint valid.
 
@@ -376,11 +361,8 @@ class HornSolver:
         Systems without abducible spaces take the classic greatest-fixpoint
         path; abducible spaces trigger the candidate-set search (and, for
         ``max_workers > 1``, the process portfolio).
-
-        ``minimize`` as a keyword is a one-release deprecation shim for the
-        old boolean API; pass ``SolveOptions(minimize=True)`` instead.
         """
-        opts = resolve_options(options, minimize)
+        opts = options if options is not None else SolveOptions()
         space_map = as_space_map(spaces)
         abducibles = sorted(name for name, sp in space_map.items() if sp.abducible)
         if abducibles:

@@ -66,6 +66,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{package_version()}"
     protocol_version = "HTTP/1.1"
+    # _reply writes headers and body separately; without TCP_NODELAY a
+    # keep-alive connection holds the body back until the client's
+    # delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 

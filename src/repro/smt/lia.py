@@ -1,10 +1,12 @@
 """Linear integer arithmetic over conjunctions of literals.
 
 The theory solver receives a conjunction of linear constraints (produced by
-the purifier in ``repro.smt.theory``) and decides feasibility.  The decision
-procedure is Fourier–Motzkin elimination over the rationals with integer
-tightening of strict inequalities and Gaussian substitution of equalities;
-disequalities are handled by case splitting.
+the purifier in ``repro.smt.theory``) and decides feasibility.  Production
+runs the incremental :class:`Simplex`.  :class:`LiaSolver` is the
+stateless reference the differential tests compare it against:
+Fourier–Motzkin elimination over the rationals with integer tightening of
+strict inequalities and Gaussian substitution of equalities; disequalities
+are handled by case splitting.
 
 Soundness note (documented in DESIGN.md): an *infeasible* verdict is always
 correct (rational infeasibility implies integer infeasibility), which is the

@@ -16,25 +16,24 @@ alpha-canonical renaming, so a structurally identical conflict over fresh
 type variables is answered by instantiating the stored lemma instead of a
 new theory refutation.
 
-Two entry points share that loop:
+:class:`IncrementalSolver` is the one solver class.  One persistent
+Tseitin encoder, **one persistent CDCL SAT solver**, and one theory serve
+every query for the solver's whole lifetime; each asserted formula is
+guarded by an *assumption literal* (a selector), its CNF is loaded into the
+SAT core exactly once at selector-creation time, and ``check`` merely
+solves under the active selectors.  Clause relevance is free:
+watched-literal propagation never touches clauses whose selectors are
+inactive (their guards are satisfied by the solver's negative default
+phase).  Re-asserting a formula (the Horn fixpoint loop does this
+constantly) reuses its existing CNF, theory lemmas learned in one query
+prune all later ones, and the learned-lemma database is garbage collected
+by clause activity so it stays bounded.
 
-* :class:`IncrementalSolver` — the workhorse.  One persistent Tseitin
-  encoder, **one persistent CDCL SAT solver**, and one theory checker
-  serve every query for the solver's whole lifetime; each asserted formula
-  is guarded by an *assumption literal* (a selector), its CNF is loaded
-  into the SAT core exactly once at selector-creation time, and ``check``
-  merely solves under the active selectors.  Clause relevance is free:
-  watched-literal propagation never touches clauses whose selectors are
-  inactive (their guards are satisfied by the solver's negative default
-  phase).  Re-asserting a formula (the Horn fixpoint loop does this
-  constantly) reuses its existing CNF, theory lemmas learned in one query
-  prune all later ones, and the learned-lemma database is garbage
-  collected by clause activity so it stays bounded.
-
-* :class:`SmtSolver` — the one-shot façade kept for back compatibility.
-  It owns an :class:`IncrementalSolver`, wraps each query in a
-  ``push``/``assert_``/``check``/``pop`` bracket, and memoizes results in a
-  bounded LRU cache keyed by interned formulas.
+Unexplained conflicts are minimized on a second, private
+:class:`~repro.smt.theory.IncrementalTheory` (the *explainer*): the
+bridge's theory holds the live SAT trail while a conflict is handled, so
+the QuickXplain probes run push/assert/check/pop brackets on their own
+instance, against a simplex that persists across probes.
 
 Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 
@@ -47,9 +46,10 @@ Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..logic import ops
 from ..logic.formulas import (
@@ -71,11 +71,10 @@ from ..logic.simplify import negation_normal_form, simplify
 from ..logic.sorts import BoolSort
 from ..logic.substitution import rename
 from ..logic.transform import transform
-from .interface import SolverBackend
 from .names import FreshNames
 from .sat import SatSolver
 from .sets import eliminate_sets, mentions_sets
-from .theory import Conflict, IncrementalTheory, Literal, TheoryChecker
+from .theory import Conflict, IncrementalTheory, Literal
 
 
 @dataclass
@@ -83,10 +82,7 @@ class SolverStatistics:
     """Counters exposed for the evaluation harness."""
 
     sat_queries: int = 0
-    validity_queries: int = 0
     theory_checks: int = 0
-    cache_hits: int = 0
-    cache_evictions: int = 0
     #: Distinct formulas encoded into CNF (selector created).
     encoded_assertions: int = 0
     #: Assertions answered from the selector table without re-encoding.
@@ -292,7 +288,11 @@ class _TheoryBridge:
     """
 
     def __init__(self, owner: "IncrementalSolver") -> None:
-        self._owner = owner
+        # A weak back-reference: the solver owns the bridge (and its SAT
+        # core keeps the bridge as its theory), so a strong one would make
+        # the whole solver cyclic garbage that outlives its last user until
+        # a full collection.
+        self._owner = weakref.proxy(owner)
         self.theory = IncrementalTheory()
         #: trail literals absorbed so far (the SatSolver protocol field).
         self.synced = 0
@@ -393,7 +393,7 @@ def _ordered_free_vars(formula: Formula, out: List[str], seen: Set[str]) -> None
 _GENERALIZE_LIMIT = 8
 
 
-class IncrementalSolver(SolverBackend):
+class IncrementalSolver:
     """Assumption-literal based incremental CDCL(T) solver.
 
     Every distinct asserted formula gets a *selector* literal ``s`` and a
@@ -430,7 +430,9 @@ class IncrementalSolver(SolverBackend):
     def __init__(self, statistics: Optional[SolverStatistics] = None) -> None:
         self._encoder = TseitinEncoder()
         self._sat = SatSolver()
-        self._theory = TheoryChecker()
+        #: private theory for conflict minimization probes (the bridge's
+        #: theory is busy holding the SAT trail while a conflict is handled).
+        self._explainer = IncrementalTheory()
         self._fresh = FreshNames()
         #: clauses of the encoder already loaded into the SAT core.
         self._loaded_clauses = 0
@@ -468,12 +470,14 @@ class IncrementalSolver(SolverBackend):
         self._emitted_instances: Set[frozenset] = set()
         self.statistics = statistics if statistics is not None else SolverStatistics()
 
-    # -- SolverBackend -------------------------------------------------------
+    # -- scoped assertions ---------------------------------------------------
 
     def push(self) -> None:
+        """Open a new assertion scope."""
         self._frames.append([])
 
     def pop(self) -> None:
+        """Discard the innermost assertion scope."""
         if len(self._frames) == 1:
             raise RuntimeError("pop without matching push")
         counts = self._active_atom_counts
@@ -485,11 +489,18 @@ class IncrementalSolver(SolverBackend):
                 else:
                     del counts[variable]
 
-    def has_assertions(self) -> bool:
-        """Is any assertion live in any scope (base frame included)?"""
-        return any(self._frames)
+    @contextmanager
+    def scoped(self) -> Iterator["IncrementalSolver"]:
+        """A ``with``-block assertion scope: ``push`` on entry, ``pop`` on
+        exit (even on error)."""
+        self.push()
+        try:
+            yield self
+        finally:
+            self.pop()
 
     def assert_(self, formula: Formula) -> None:
+        """Add a formula to the innermost scope (re-assertion is free)."""
         formula = intern_formula(formula)
         if formula in self._selectors:
             self.statistics.reused_assertions += 1
@@ -504,6 +515,7 @@ class IncrementalSolver(SolverBackend):
                 counts[variable] = counts.get(variable, 0) + 1
 
     def check(self) -> bool:
+        """Is the conjunction of all live assertions satisfiable?"""
         return self._solve_active() is not None
 
     def check_evaluating(
@@ -530,25 +542,31 @@ class IncrementalSolver(SolverBackend):
             for probe in probes
         ]
 
-    def check_assuming(self, formulas) -> bool:
+    def check_assuming(self, formulas: Iterable[Formula]) -> bool:
+        """Satisfiability of the live assertions plus the given formulas."""
         formulas = list(formulas)
-        if any(mentions_sets(f) for f in formulas):
-            # Per-assertion set elimination scopes element universes too
-            # narrowly for cross-assertion reasoning; fall back to one
-            # conjoined assertion (the exact, one-shot pipeline).
-            self.push()
-            try:
+        with self.scoped():
+            if any(mentions_sets(f) for f in formulas):
+                # Per-assertion set elimination scopes element universes too
+                # narrowly for cross-assertion reasoning; fall back to one
+                # conjoined assertion (the exact, one-shot pipeline).
                 self.assert_(ops.conj(formulas))
-                return self.check()
-            finally:
-                self.pop()
-        return super().check_assuming(formulas)
+            else:
+                for formula in formulas:
+                    self.assert_(formula)
+            return self.check()
 
-    def is_valid_implication(self, premises, conclusion: Formula) -> bool:
+    def is_valid_implication(self, premises: Iterable[Formula], conclusion: Formula) -> bool:
+        """Does the conjunction of ``premises`` entail ``conclusion`` (in the
+        context of the live assertions)?"""
         premises = list(premises)
         if mentions_sets(conclusion) or any(mentions_sets(p) for p in premises):
             return not self.check_assuming([ops.and_(ops.conj(premises), ops.not_(conclusion))])
-        return super().is_valid_implication(premises, conclusion)
+        with self.scoped():
+            for premise in premises:
+                self.assert_(premise)
+            self.assert_(ops.not_(conclusion))
+            return not self.check()
 
     # -- internals -----------------------------------------------------------
 
@@ -584,11 +602,11 @@ class IncrementalSolver(SolverBackend):
 
         Explained conflicts (simplex bound tags) are near-minimal already;
         unexplained ones (congruence, Nelson–Oppen) are QuickXplain-shrunk
-        against the stateless checker before blocking.
+        on the private explainer theory before blocking.
         """
         literals, explained = conflict
         if not explained:
-            literals = _shrink_conflict(self._theory, literals, self.statistics)
+            literals = _shrink_conflict(self._explainer, literals, self.statistics)
         atom_variable = self._encoder.atom_variable
         clause: List[int] = []
         seen: Set[int] = set()
@@ -956,7 +974,7 @@ _SHRINK_DELETION_LIMIT = 8
 
 
 def _shrink_conflict(
-    theory: TheoryChecker,
+    theory: IncrementalTheory,
     literals: List[Literal],
     statistics: Optional[SolverStatistics] = None,
 ) -> List[Literal]:
@@ -969,12 +987,23 @@ def _shrink_conflict(
     of O(n).  Tiny conflicts (where deletion's n checks beat the
     divide-and-conquer's bookkeeping) keep the one-at-a-time scan as the
     base case.
+
+    Each consistency probe is one push/assert/check/pop bracket on
+    ``theory``, which must not hold the live SAT trail: the caller passes a
+    dedicated explainer instance, left at the depth it came in at.
     """
 
     def consistent(subset: List[Literal]) -> bool:
         if statistics is not None:
             statistics.shrink_theory_checks += 1
-        return theory.is_consistent(subset)
+        theory.push()
+        try:
+            for literal in subset:
+                if theory.assert_literal(literal) is not None:
+                    return False
+            return theory.check() is None
+        finally:
+            theory.pop()
 
     def deletion(background: List[Literal], candidates: List[Literal]) -> List[Literal]:
         """Minimal subset of ``candidates`` inconsistent with ``background``
@@ -1015,87 +1044,6 @@ def _shrink_conflict(
     if core and not consistent(core):
         return core
     return list(literals)
-
-
-# ---------------------------------------------------------------------------
-# the one-shot façade
-# ---------------------------------------------------------------------------
-
-#: Default bound on the memoized query cache of :class:`SmtSolver`.
-DEFAULT_CACHE_SIZE = 4096
-
-
-class SmtSolver:
-    """Satisfiability and validity of quantifier-free refinement formulas.
-
-    A thin memoizing façade over a :class:`SolverBackend` (by default a
-    private :class:`IncrementalSolver`): each query runs in its own scope,
-    and results are cached in a bounded LRU keyed by the interned formula.
-    Cached answers are context-free, so the cache is bypassed whenever the
-    backend reports live assertions (the iteration budget also lives on the
-    backend: ``solver.backend.MAX_ITERATIONS``).
-    """
-
-    def __init__(
-        self,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        backend: Optional[SolverBackend] = None,
-    ) -> None:
-        if backend is None:
-            self.statistics = SolverStatistics()
-            self._backend: SolverBackend = IncrementalSolver(self.statistics)
-        else:
-            self._backend = backend
-            self.statistics = getattr(backend, "statistics", SolverStatistics())
-        if cache_size < 1:
-            raise ValueError("cache_size must be positive")
-        self._cache: "OrderedDict[Formula, bool]" = OrderedDict()
-        self._cache_size = cache_size
-
-    # -- public API ----------------------------------------------------------
-
-    @property
-    def backend(self) -> SolverBackend:
-        """The incremental backend answering this solver's queries."""
-        return self._backend
-
-    def is_valid(self, formula: Formula) -> bool:
-        """Is ``formula`` true in every model?"""
-        self.statistics.validity_queries += 1
-        return not self.is_satisfiable(ops.not_(formula))
-
-    def is_satisfiable(self, formula: Formula) -> bool:
-        """Does ``formula`` have a model?
-
-        Answers are memoized only when the backend carries no live
-        assertions — in a non-empty context the answer depends on that
-        context and must not be cached as context-free.
-        """
-        key = intern_formula(formula)
-        contextual = self._backend.has_assertions()
-        if not contextual:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.statistics.cache_hits += 1
-                return cached
-        self._backend.push()
-        try:
-            self._backend.assert_(key)
-            result = self._backend.check()
-        finally:
-            self._backend.pop()
-        if contextual:
-            return result
-        self._cache[key] = result
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-            self.statistics.cache_evictions += 1
-        return result
-
-    def clear_cache(self) -> None:
-        """Drop memoized query results (used between benchmark runs)."""
-        self._cache.clear()
 
 
 # ---------------------------------------------------------------------------

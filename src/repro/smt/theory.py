@@ -5,22 +5,22 @@ for equality with uninterpreted functions, linear arithmetic for
 comparisons, a pragmatic one-directional Nelson–Oppen EUF -> LIA equality
 propagation):
 
-* :class:`IncrementalTheory` — the primary, *stateful* solver driving the
-  DPLL(T) loop.  Literals are asserted one at a time between ``push`` /
-  ``pop`` marks; a persistent :class:`~repro.smt.euf.TermBank` interns
-  terms once for the solver's lifetime, the congruence closure un-merges
-  through an undo trail, and the :class:`~repro.smt.lia.Simplex` tableau
-  keeps its rows and feasible basis across checks (bounds are added and
-  retracted instead of the tableau being rebuilt).  Conflicts come back as
-  *explanations* — the subset of asserted literals responsible — and the
-  solver can *propagate*: report watched atoms whose truth value is
-  already entailed by the asserted bounds or the congruence closure.
+* :class:`IncrementalTheory` — the one theory production runs (the
+  solver holds two: one shadows the DPLL(T) trail, the other answers
+  conflict-minimization probes).  Literals are asserted one at a time
+  between ``push`` / ``pop`` marks; a persistent
+  :class:`~repro.smt.euf.TermBank` interns terms once for the solver's
+  lifetime, the congruence closure un-merges through an undo trail, and
+  the :class:`~repro.smt.lia.Simplex` tableau keeps its rows and feasible
+  basis across checks (bounds are added and retracted instead of the
+  tableau being rebuilt).  Conflicts come back as *explanations* — the
+  subset of asserted literals responsible — and the solver can
+  *propagate*: report watched atoms whose truth value is already entailed
+  by the asserted bounds or the congruence closure.
 
-* :class:`TheoryChecker` — the stateless fallback for non-incremental
-  backends and for conflict minimization probes.  Each call rebuilds a
-  fresh term bank and runs the one-shot Fourier–Motzkin
-  :class:`~repro.smt.lia.LiaSolver`; answers are memoized per literal
-  *set* in a bounded LRU (consistency is order-insensitive).
+* :class:`TheoryChecker` — a stateless reference oracle, kept for the
+  differential tests.  Each call rebuilds a fresh term bank and runs the
+  one-shot Fourier–Motzkin :class:`~repro.smt.lia.LiaSolver`.
 
 Propagation between the theories is one-directional (EUF -> LIA).  Missing
 the reverse direction can only make the checkers *fail to detect* a
@@ -33,7 +33,6 @@ enforces on random assert/push/pop sequences.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -69,10 +68,6 @@ class Literal:
     polarity: bool
 
 
-class TheoryConflict(Exception):
-    """Raised internally when a conflict is found while asserting literals."""
-
-
 def _negated_comparison(op: BinaryOp) -> BinaryOp:
     return {
         BinaryOp.LT: BinaryOp.GE,
@@ -97,44 +92,26 @@ def _comparison_constraint(
     return lia.lt(rhs, lhs)
 
 
+def _term_expr(term: Formula, term_id: int) -> LinearExpr:
+    """Linear expression for a tracked integer term."""
+    if isinstance(term, IntLit):
+        return LinearExpr.constant_expr(term.value)
+    return LinearExpr.variable(f"t{term_id}")
+
+
 class TheoryChecker:
     """Checks consistency of a conjunction of theory literals, statelessly.
 
-    Answers are memoized per literal *set* in a bounded LRU (hits move the
-    entry to the young end, the oldest entry is evicted past
-    :attr:`MAX_CACHE`): consistency is order-insensitive and each call is
-    independent, so the conflict minimization probes — which test many
-    overlapping subsets of the same assignment, often across queries
-    sharing their atoms — pay for each distinct subset once.  This is the
-    fallback path; incremental backends drive :class:`IncrementalTheory`.
+    The reference oracle for :class:`IncrementalTheory`: every call builds
+    its term bank and arithmetic from scratch, so it shares no state (and
+    no incremental bookkeeping) with the solver it checks.
     """
-
-    #: Bound on the memo; the oldest (least recently used) entry is evicted.
-    MAX_CACHE = 65536
 
     def __init__(self) -> None:
         self._lia = LiaSolver()
-        self._cache: "OrderedDict[frozenset, bool]" = OrderedDict()
 
     def is_consistent(self, literals: Sequence[Literal]) -> bool:
         """Is the conjunction of the given literals satisfiable?"""
-        key = frozenset(literals)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
-        try:
-            result = self._check(literals)
-        except TheoryConflict:
-            result = False
-        self._cache[key] = result
-        if len(self._cache) > self.MAX_CACHE:
-            self._cache.popitem(last=False)
-        return result
-
-    # -- internals ---------------------------------------------------------
-
-    def _check(self, literals: Sequence[Literal]) -> bool:
         bank = TermBank()
         closure = CongruenceClosure(bank)
         true_id = bank.constant("__true")
@@ -208,7 +185,7 @@ class TheoryChecker:
             atom, polarity = literal.atom, literal.polarity
             if isinstance(atom, BoolLit):
                 if atom.value != polarity:
-                    raise TheoryConflict()
+                    return False
                 continue
             if isinstance(atom, (Var, App)) and atom.sort == BOOL:
                 closure.assert_equal(intern(atom), true_id if polarity else false_id)
@@ -241,23 +218,11 @@ class TheoryChecker:
         for class_root, members in closure.classes().items():
             class_members = [t for t in tracked if t in members]
             for first, second in zip(class_members, class_members[1:]):
-                lhs = self._term_expr(int_terms[first], first)
-                rhs = self._term_expr(int_terms[second], second)
+                lhs = _term_expr(int_terms[first], first)
+                rhs = _term_expr(int_terms[second], second)
                 constraints.append(Constraint(lhs.subtract(rhs), Relation.EQ))
 
         return self._lia.is_feasible(constraints)
-
-    @staticmethod
-    def _term_expr(term: Formula, term_id: int) -> LinearExpr:
-        """Linear expression for a tracked integer term."""
-        if isinstance(term, IntLit):
-            return LinearExpr.constant_expr(term.value)
-        return LinearExpr.variable(f"t{term_id}")
-
-    @staticmethod
-    def _comparison(op: BinaryOp, lhs: LinearExpr, rhs: LinearExpr, polarity: bool) -> Constraint:
-        """Translate a (possibly negated) integer comparison."""
-        return _comparison_constraint(op, lhs, rhs, polarity)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +254,9 @@ class _Frame:
 class IncrementalTheory:
     """Persistent, backtrackable solver for the combined EUF + LIA theory.
 
-    Mirrors :meth:`TheoryChecker._check` literal for literal, but keeps all
-    of its state — term bank, congruence closure, simplex tableau — alive
-    across checks.  ``push`` snapshots the undo trails; ``pop`` retracts
+    Mirrors :meth:`TheoryChecker.is_consistent` literal for literal, but
+    keeps all of its state — term bank, congruence closure, simplex
+    tableau — alive across checks.  ``push`` snapshots the undo trails; ``pop`` retracts
     everything asserted since the matching push.  Consistency of the
     current assertion stack is (re-)established by :meth:`check`, which
     resumes from the previous feasible simplex basis and only re-closes
@@ -666,8 +631,8 @@ class IncrementalTheory:
                 link = (first, second)
                 if link in self._linked:
                     continue
-                lhs = TheoryChecker._term_expr(self._int_terms[first], first)
-                rhs = TheoryChecker._term_expr(self._int_terms[second], second)
+                lhs = _term_expr(self._int_terms[first], first)
+                rhs = _term_expr(self._int_terms[second], second)
                 conflict = self.simplex.assert_constraint(
                     Constraint(lhs.subtract(rhs), Relation.EQ), DERIVED
                 )

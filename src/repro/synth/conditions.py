@@ -56,7 +56,7 @@ from ..horn.solver import HornSolver, HornStatistics, SolveOptions
 from ..horn.spaces import QualifierSpace
 from ..logic import ops
 from ..logic.formulas import Binary, BinaryOp, Formula
-from ..smt.interface import SolverBackend
+from ..smt.solver import IncrementalSolver
 from ..syntax.terms import Term
 from ..syntax.types import RType
 from ..typecheck.environment import Environment
@@ -260,7 +260,7 @@ def _abduce_brute_force(
 
 
 def _weakest_guards(
-    backend: SolverBackend,
+    backend: IncrementalSolver,
     context: Sequence[Formula],
     guards: Sequence[Tuple[Formula, ...]],
 ) -> List[Tuple[Formula, ...]]:

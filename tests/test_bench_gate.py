@@ -70,7 +70,7 @@ class TestCounterDrift:
 
     def test_newly_appearing_tracked_counter_is_drift(self):
         """A counter present on only one side (e.g. a schema extension)
-        reads as None on the other — visible, but still report-only."""
+        reads as None on the other, which is drift like any other."""
         notes = gate.counter_drift({"case": {}}, {"case": {"lemmas_generalized": 3}})
         assert notes == ["case.lemmas_generalized None->3"]
 
@@ -80,7 +80,7 @@ class TestCounterDrift:
         )
         assert notes == []
 
-    def test_drift_never_fails_the_gate(self, tmp_path, capsys, monkeypatch):
+    def test_drift_fails_the_gate(self, tmp_path, capsys, monkeypatch):
         payload = lambda pivots: {  # noqa: E731
             "suite": "test",
             "benchmarks": [
@@ -95,11 +95,19 @@ class TestCounterDrift:
             "sys.argv",
             ["gate", "--baseline", str(baseline), "--candidate", str(candidate)],
         )
-        assert gate.main() == 0
+        assert gate.main() == 1
         summary = capsys.readouterr().out.strip()
         assert summary.count("\n") == 0, "gate must print exactly one line"
-        assert "OK" in summary
-        assert "counter drift (report-only): case.tableau_pivots 5->9" in summary
+        assert "FAIL" in summary
+        assert "counter drift: case.tableau_pivots 5->9" in summary
+
+        # Identical counters (the wall-clock well within bounds) pass.
+        monkeypatch.setattr(
+            "sys.argv",
+            ["gate", "--baseline", str(baseline), "--candidate", str(baseline)],
+        )
+        assert gate.main() == 0
+        assert "OK" in capsys.readouterr().out
 
 
 class TestEndToEnd:

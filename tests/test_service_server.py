@@ -8,6 +8,7 @@ what ``curl`` sees: status codes, JSON bodies, and the warm-cache
 
 import json
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -60,6 +61,23 @@ class TestRoutes:
         status, body = call(server, "GET", "/healthz")
         assert status == 200
         assert body["status"] == "ok" and body["version"]
+
+    def test_keep_alive_replies_without_delayed_ack_stall(self, server):
+        # Headers and body go out in two writes; with Nagle's algorithm on,
+        # each reply on a reused connection waits for the client's delayed
+        # ACK (~40 ms), so 20 requests would take at least 800 ms.
+        conn = HTTPConnection("127.0.0.1", server.server_port)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
 
     def test_unknown_route_is_404_json(self, server):
         for method in ("GET", "POST"):

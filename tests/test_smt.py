@@ -1,17 +1,14 @@
-"""Tests for the SMT pipeline: one-shot façade and incremental backend."""
+"""Tests for the SMT pipeline: query semantics and the incremental backend."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro.logic import ops
 from repro.logic.formulas import IntLit
 from repro.logic.sorts import BOOL, INT, set_of
-from repro.smt import (
-    IncrementalSolver,
-    SmtSolver,
-    SolverBackend,
-    default_solver,
-    reset_default_solver,
-)
+from repro.smt import IncrementalSolver
 
 x = ops.var("x", INT)
 y = ops.var("y", INT)
@@ -19,95 +16,63 @@ z = ops.var("z", INT)
 p = ops.var("p", BOOL)
 
 
+def is_valid(solver, formula):
+    return not solver.check_assuming([ops.not_(formula)])
+
+
+def is_satisfiable(solver, formula):
+    return solver.check_assuming([formula])
+
+
 class TestSmtSolver:
+    """One-query semantics: each formula checked in its own scope."""
+
     def test_valid_implication(self):
-        solver = SmtSolver()
-        assert solver.is_valid(ops.implies(ops.lt(x, y), ops.le(x, y)))
-        assert not solver.is_valid(ops.implies(ops.le(x, y), ops.lt(x, y)))
+        solver = IncrementalSolver()
+        assert is_valid(solver, ops.implies(ops.lt(x, y), ops.le(x, y)))
+        assert not is_valid(solver, ops.implies(ops.le(x, y), ops.lt(x, y)))
 
     def test_satisfiability(self):
-        solver = SmtSolver()
-        assert solver.is_satisfiable(ops.and_(ops.le(x, y), ops.neq(x, y)))
-        assert not solver.is_satisfiable(ops.and_(ops.le(x, y), ops.lt(y, x)))
+        solver = IncrementalSolver()
+        assert is_satisfiable(solver, ops.and_(ops.le(x, y), ops.neq(x, y)))
+        assert not is_satisfiable(solver, ops.and_(ops.le(x, y), ops.lt(y, x)))
 
     def test_boolean_structure(self):
-        solver = SmtSolver()
-        assert solver.is_valid(ops.or_(p, ops.not_(p)))
-        assert not solver.is_satisfiable(ops.and_(p, ops.not_(p)))
-        assert solver.is_valid(ops.iff(p, p))
+        solver = IncrementalSolver()
+        assert is_valid(solver, ops.or_(p, ops.not_(p)))
+        assert not is_satisfiable(solver, ops.and_(p, ops.not_(p)))
+        assert is_valid(solver, ops.iff(p, p))
 
     def test_boolean_equality_rewrite(self):
-        solver = SmtSolver()
+        solver = IncrementalSolver()
         q = ops.var("q", BOOL)
-        assert solver.is_valid(ops.implies(ops.and_(ops.eq(p, q), p), q))
+        assert is_valid(solver, ops.implies(ops.and_(ops.eq(p, q), p), q))
 
     def test_ite_lifting(self):
-        solver = SmtSolver()
+        solver = IncrementalSolver()
         absval = ops.ite(ops.ge(x, IntLit(0)), x, ops.neg(x))
-        assert solver.is_valid(ops.ge(absval, IntLit(0)))
+        assert is_valid(solver, ops.ge(absval, IntLit(0)))
 
     def test_uninterpreted_measures(self):
-        solver = SmtSolver()
+        solver = IncrementalSolver()
         length = ops.measure("len", x, INT)
         same = ops.measure("len", ops.var("x", INT), INT)
-        assert solver.is_valid(ops.eq(length, same))
+        assert is_valid(solver, ops.eq(length, same))
 
     def test_sets(self):
-        solver = SmtSolver()
+        solver = IncrementalSolver()
         s = ops.var("s", set_of(INT))
         singleton = ops.singleton(x)
-        assert solver.is_valid(ops.member(x, ops.union(singleton, s)))
-        assert not solver.is_valid(ops.member(y, ops.union(singleton, s)))
-
-    def test_cache_hits(self):
-        solver = SmtSolver()
-        formula = ops.le(x, y)
-        solver.is_satisfiable(formula)
-        hits_before = solver.statistics.cache_hits
-        solver.is_satisfiable(ops.le(ops.var("x", INT), y))
-        assert solver.statistics.cache_hits == hits_before + 1
-
-    def test_cache_eviction_is_bounded_and_counted(self):
-        solver = SmtSolver(cache_size=2)
-        for k in range(5):
-            solver.is_satisfiable(ops.le(x, IntLit(k)))
-        assert len(solver._cache) <= 2
-        assert solver.statistics.cache_evictions == 3
-
-    def test_cache_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SmtSolver(cache_size=0)
-
-    def test_clear_cache(self):
-        solver = SmtSolver()
-        formula = ops.le(x, y)
-        solver.is_satisfiable(formula)
-        solver.clear_cache()
-        hits = solver.statistics.cache_hits
-        solver.is_satisfiable(formula)
-        assert solver.statistics.cache_hits == hits
+        assert is_valid(solver, ops.member(x, ops.union(singleton, s)))
+        assert not is_valid(solver, ops.member(y, ops.union(singleton, s)))
 
     def test_solver_instances_are_independent(self):
         # Fresh-name generation is per solver: the same ite-heavy query run
         # on two fresh solvers yields identical results and statistics.
         query = ops.ge(ops.ite(ops.ge(x, y), x, y), x)
-        first, second = SmtSolver(), SmtSolver()
-        assert first.is_valid(query) and second.is_valid(query)
+        first, second = IncrementalSolver(), IncrementalSolver()
+        assert is_valid(first, query) and is_valid(second, query)
         assert first.statistics == second.statistics
-
-    def test_cache_bypassed_under_live_backend_assertions(self):
-        # Answers depend on base-scope assertions, so they must not be
-        # memoized as context-free (and stale entries must not be served).
-        solver = SmtSolver()
-        query = ops.lt(x, ops.int_lit(0))
-        assert solver.is_satisfiable(query)  # context-free: cached True
-        solver.backend.assert_(ops.gt(x, ops.int_lit(0)))
-        assert not solver.is_satisfiable(query)  # contextual: recomputed
-        assert solver.statistics.cache_hits == 0
-
-    def test_default_solver_shared(self):
-        reset_default_solver()
-        assert default_solver() is default_solver()
 
 
 class TestIncrementalSolver:
@@ -124,6 +89,20 @@ class TestIncrementalSolver:
     def test_pop_without_push_raises(self):
         with pytest.raises(RuntimeError):
             IncrementalSolver().pop()
+
+    def test_solver_is_freed_without_the_cycle_collector(self):
+        # The SAT core keeps the theory bridge between solves; the bridge
+        # must not keep the solver alive, or every solver (and all its
+        # clauses and theory state) lingers until a full collection.
+        gc.disable()
+        try:
+            solver = IncrementalSolver()
+            assert solver.is_valid_implication([ops.le(x, y), ops.le(y, z)], ops.le(x, z))
+            alive = weakref.ref(solver)
+            del solver
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_assertions_accumulate_within_scope(self):
         solver = IncrementalSolver()
@@ -183,10 +162,6 @@ class TestIncrementalSolver:
         solver.pop()
         second_round = solver.statistics.theory_checks - first_round
         assert second_round <= first_round
-
-    def test_is_a_solver_backend(self):
-        assert isinstance(IncrementalSolver(), SolverBackend)
-        assert isinstance(SmtSolver().backend, SolverBackend)
 
     def test_check_assuming_conjoins_set_formulas(self):
         solver = IncrementalSolver()

@@ -7,6 +7,11 @@ via undo trails.  These tests pin its behaviour to the stateless
 :class:`repro.smt.theory.TheoryChecker` oracle: on every prefix of every
 random assert/push/pop sequence the two must agree on consistency.
 
+The explainer tests pin conflict minimization: QuickXplain over the
+solver's private incremental theory must return exactly the core it
+returns over the stateless oracle, and production must never reach the
+oracle.
+
 The lemma-generalization tests pin the cross-candidate replay path: a
 theory conflict refuted once must answer every alpha-renamed copy of
 itself propositionally, without the renamed query ever reaching the
@@ -14,14 +19,19 @@ theory.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.logic import ops
 from repro.logic.formulas import IntLit
 from repro.logic.sorts import BOOL, INT
-from repro.smt.solver import IncrementalSolver
+from repro.smt.solver import IncrementalSolver, SolverStatistics, _shrink_conflict
 from repro.smt.theory import IncrementalTheory, Literal, TheoryChecker
+from repro.syntax.parser import parse_program
+from repro.synth import SynthesisGoal, Synthesizer
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def _atom_pool():
@@ -135,6 +145,72 @@ class TestDifferential:
         theory.pop()
         # Un-merging must restore consistency of the disequality alone.
         assert theory.check() is None
+
+
+class _OracleTheory:
+    """The push/assert/check/pop protocol answered by one stateless
+    :class:`TheoryChecker` call per check: the reference explainer."""
+
+    def __init__(self):
+        self._oracle = TheoryChecker()
+        self._frames = []
+
+    def push(self):
+        self._frames.append([])
+
+    def pop(self):
+        self._frames.pop()
+
+    def assert_literal(self, literal):
+        self._frames[-1].append(literal)
+        return None
+
+    def check(self):
+        literals = [lit for frame in self._frames for lit in frame]
+        return None if self._oracle.is_consistent(literals) else ([], False)
+
+
+class TestExplainer:
+    """Conflict minimization on the solver's private incremental theory."""
+
+    def test_cores_match_the_stateless_oracle(self):
+        rng = random.Random(1913)
+        pool = _atom_pool()
+        oracle = TheoryChecker()
+        explainer = IncrementalTheory()
+        drawn = 0
+        while drawn < 150:
+            size = rng.randint(2, 16)
+            literals = [Literal(rng.choice(pool), rng.random() < 0.7) for _ in range(size)]
+            if oracle.is_consistent(literals):
+                continue
+            drawn += 1
+            incremental_stats, oracle_stats = SolverStatistics(), SolverStatistics()
+            core = _shrink_conflict(explainer, literals, incremental_stats)
+            assert explainer.depth == 0
+            expected = _shrink_conflict(_OracleTheory(), literals, oracle_stats)
+            assert core == expected, f"cores differ on {literals}"
+            assert incremental_stats.shrink_theory_checks == oracle_stats.shrink_theory_checks
+            assert not oracle.is_consistent(core)
+
+    def test_synthesis_never_consults_the_oracle(self, monkeypatch):
+        def refuse(self, literals):
+            raise AssertionError("production reached the reference oracle")
+
+        monkeypatch.setattr(TheoryChecker, "is_consistent", refuse)
+        source = (EXAMPLES / "replicate.sq").read_text()
+        goal = SynthesisGoal.from_program(parse_program(source), "replicate")
+        synthesizer = Synthesizer(goal, max_depth=4)
+        result = synthesizer.synthesize()
+        assert result.solved and result.verified
+        assert result.pretty() == (
+            "replicate = fix replicate . \\n . \\x . "
+            "if leq n 0 then Nil else Cons x (replicate (dec n) x)"
+        )
+        stats = synthesizer.session.backend.statistics
+        # Conflicts were explained (not only blocked whole) on the explainer.
+        assert stats.shrink_theory_checks == 14
+        assert (stats.sat_queries, stats.conflicts, stats.tableau_pivots) == (70, 1, 69)
 
 
 class TestLemmaGeneralization:
