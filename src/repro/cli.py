@@ -116,7 +116,6 @@ def _run_check(program: Program, path: str, args, out: TextIO) -> int:
     with stack.query() as backend:
         payload, _, _ = api.check_query(
             program,
-            workers=args.workers,
             cache=cache,
             backend=backend,
             timeout_ms=args.timeout_ms,
@@ -172,7 +171,6 @@ def _run_synth(program: Program, path: str, args, out: TextIO) -> int:
                 cache=cache,
                 backend=backend,
                 recheck=args.recheck,
-                workers=args.workers,
                 timeout_ms=args.timeout_ms,
             )
     except api.UnknownGoal:
@@ -265,28 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "check", help="type-check every definition in a .sq file against its signature"
     )
     check.add_argument("file", help="the .sq source file")
-    check.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the candidate-set Horn portfolio (default 1 = serial)",
-    )
     _add_timeout_flag(check)
     _add_cache_flags(check, default_dir=False)
     synth = commands.add_parser("synth", help="synthesize every `name = ??` goal in a .sq file")
     synth.add_argument("file", help="the .sq source file")
     _add_synth_limits(synth)
-    synth.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for each condition abduction's candidate-set "
-            "portfolio (default 1 = serial; results are identical either way)"
-        ),
-    )
     synth.add_argument("--only", metavar="NAME", help="synthesize just this goal")
     synth.add_argument(
         "--quiet", action="store_true", help="suppress the enumeration statistics line"

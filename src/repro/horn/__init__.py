@@ -4,17 +4,14 @@ The third layer of the reproduction: constraints (``premises ==>
 conclusion`` with :class:`~repro.logic.formulas.Unknown` nodes on either
 side), qualifier spaces per unknown, the :class:`HornSolver` — greatest
 fixpoint for ordinary unknowns, candidate-set search with MUSFix pruning
-for abducible ones — and the process portfolio that fans candidate
-branches across workers.  All validity queries go through the incremental
+for abducible ones.  All validity queries go through the incremental
 SMT backend.
 """
 
 from .constraints import HornConstraint, constraint, substitute_unknowns
 from .musfix import MusFixSolver
-from .portfolio import solve_portfolio
 from .solver import (
     Assignment,
-    CandidateSearchResult,
     HornSolution,
     HornSolver,
     HornStatistics,
@@ -24,7 +21,6 @@ from .spaces import QualifierSpace, as_space_map, build_space, build_spaces
 
 __all__ = [
     "Assignment",
-    "CandidateSearchResult",
     "HornConstraint",
     "HornSolution",
     "HornSolver",
@@ -36,6 +32,5 @@ __all__ = [
     "build_space",
     "build_spaces",
     "constraint",
-    "solve_portfolio",
     "substitute_unknowns",
 ]

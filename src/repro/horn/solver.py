@@ -28,9 +28,7 @@ strengthenings — disjunctive inference.  For those the solver keeps a
 the classic fixpoint core runs on the grounded system, and a failure
 branches the candidate into its single-qualifier strengthenings while
 :class:`~repro.horn.musfix.MusFixSolver` enumerates MUSes of the failing
-constraint and prunes every frontier member containing one.  With
-``max_workers > 1`` the branches fan out across worker processes (see
-:mod:`repro.horn.portfolio`), MUS lemmas flowing between them.
+constraint and prunes every frontier member containing one.
 
 Pruning on the classic path is unsat-core style: a constraint's full
 valuation is first checked in one validity query; only when that fails
@@ -60,7 +58,7 @@ from ..logic.transform import unknowns as formula_unknowns
 from ..smt.sets import mentions_sets
 from ..smt.solver import IncrementalSolver
 from .constraints import HornConstraint, substitute_unknowns
-from .musfix import MusFixSolver, MusLemma
+from .musfix import MusFixSolver
 from .spaces import QualifierSpace, SpacesLike, as_space_map
 
 #: A candidate valuation: unknown name -> conjunction of qualifiers.
@@ -72,16 +70,14 @@ class SolveOptions:
     """How :meth:`HornSolver.solve` should search.
 
     ``minimize`` greedily weakens the chosen solution into a locally
-    minimal one.  ``max_workers`` fans candidate branches out across that
-    many worker processes (1 = serial).  ``max_candidates`` bounds the
-    candidate frontier *and* the number of surviving solutions reported —
-    1 degenerates to a greedy single path that can dead-end on disjunctive
-    goals.  ``mus_budget`` caps MARCO theory checks per failing
-    constraint's qualifier pool.
+    minimal one.  ``max_candidates`` bounds the candidate frontier *and*
+    the number of surviving solutions reported — 1 degenerates to a
+    greedy single path that can dead-end on disjunctive goals.
+    ``mus_budget`` caps MARCO theory checks per failing constraint's
+    qualifier pool.
     """
 
     minimize: bool = False
-    max_workers: int = 1
     max_candidates: int = 16
     mus_budget: int = 64
 
@@ -104,14 +100,9 @@ class HornStatistics:
     candidates_pruned: int = 0
     #: Minimal unsatisfiable subsets enumerated by the MARCO loop.
     muses_enumerated: int = 0
-    #: MUS lemmas adopted from other portfolio branches.
-    lemmas_shared: int = 0
-    #: Portfolio worker processes that died mid-branch; their groups were
-    #: re-searched inline (visible degradation, never a lost result).
-    worker_deaths: int = 0
 
     def merge(self, other: "HornStatistics") -> None:
-        """Fold another solver's counters into this one (portfolio)."""
+        """Fold another solver's counters into this one."""
         self.validity_checks += other.validity_checks
         self.fixpoint_rounds += other.fixpoint_rounds
         self.weakenings += other.weakenings
@@ -120,8 +111,6 @@ class HornStatistics:
         self.candidates_explored += other.candidates_explored
         self.candidates_pruned += other.candidates_pruned
         self.muses_enumerated += other.muses_enumerated
-        self.lemmas_shared += other.lemmas_shared
-        self.worker_deaths += other.worker_deaths
 
 
 @dataclass
@@ -146,23 +135,6 @@ class HornSolution:
     def formula_for(self, unknown: str) -> Formula:
         """The chosen valuation of ``unknown`` as one conjunction."""
         return ops.conj(self.assignment.get(unknown, ()))
-
-
-@dataclass
-class CandidateSearchResult:
-    """Raw outcome of one :meth:`HornSolver.search_candidates` run.
-
-    The portfolio merges several of these: ``solutions`` are full
-    assignments (abducible guards plus fixpoint valuations), ``frontier``
-    is the unexplored remainder of the queue (branch seeds), ``lemmas``
-    are the MUSes learned, and ``failed`` is the last constraint a
-    candidate died on (diagnostics when nothing solves).
-    """
-
-    solutions: Tuple[Assignment, ...]
-    frontier: Tuple[Assignment, ...]
-    failed: Optional[HornConstraint]
-    lemmas: Tuple[MusLemma, ...]
 
 
 def _candidate_key(candidate: Assignment) -> Tuple:
@@ -191,37 +163,12 @@ def _solution_order_key(
     return (sum(len(key) for _, key in guards), guards)
 
 
-def filter_dominated(
-    solutions: Sequence[Assignment], abducible_names: Sequence[str]
-) -> List[Assignment]:
-    """Keep only the antichain of weakest solutions.
-
-    A solution is dominated when another one's abducible guards are all
-    (weakly) subsets of its own with at least one strictly smaller — the
-    weaker guard admits every behaviour the stronger one does.
-    """
-    guards = [
-        {name: frozenset(sol.get(name, ())) for name in abducible_names} for sol in solutions
-    ]
-    kept: List[Assignment] = []
-    kept_guards: List[Dict[str, FrozenSet[Formula]]] = []
-    for sol, guard in zip(solutions, guards):
-        dominated = any(
-            other != guard and all(other[name] <= guard[name] for name in abducible_names)
-            for other in guards
-        )
-        if not dominated and guard not in kept_guards:
-            kept.append(sol)
-            kept_guards.append(guard)
-    return kept
-
-
 def order_solutions(
     solutions: Sequence[Assignment],
     names: Sequence[str],
     spaces: Dict[str, QualifierSpace],
 ) -> List[Assignment]:
-    """Deterministic weakest-first order, stable across processes."""
+    """Deterministic weakest-first order, independent of search order."""
     return sorted(solutions, key=lambda sol: _solution_order_key(sol, names, spaces))
 
 
@@ -359,8 +306,7 @@ class HornSolver:
         Unknowns that appear in constraints but have no qualifier space get
         the empty valuation ``True`` (they cannot constrain anything).
         Systems without abducible spaces take the classic greatest-fixpoint
-        path; abducible spaces trigger the candidate-set search (and, for
-        ``max_workers > 1``, the process portfolio).
+        path; abducible spaces trigger the candidate-set search.
         """
         opts = options if options is not None else SolveOptions()
         space_map = as_space_map(spaces)
@@ -373,10 +319,6 @@ class HornSolver:
                         f"abducible unknown {target.name!r} cannot appear as a "
                         f"conclusion (it is solved bottom-up): {constr!r}"
                     )
-            if opts.max_workers > 1:
-                from .portfolio import solve_portfolio
-
-                return solve_portfolio(constraints, space_map, opts, solver=self)
             return self._solve_candidates(constraints, space_map, opts)
 
         solution = self._solve_fixpoint(constraints, space_map)
@@ -393,10 +335,7 @@ class HornSolver:
         constraints: Sequence[HornConstraint],
         spaces: SpacesLike,
         options: Optional[SolveOptions] = None,
-        roots: Optional[Sequence[Assignment]] = None,
-        lemmas: Sequence[MusLemma] = (),
-        explore_limit: Optional[int] = None,
-    ) -> CandidateSearchResult:
+    ) -> Tuple[Tuple[Assignment, ...], Optional[HornConstraint]]:
         """Breadth-first search over candidate abducible valuations.
 
         Each candidate fixes every abducible unknown to a subset of its
@@ -411,10 +350,12 @@ class HornSolver:
         constraint to the MUS enumerator, prunes the frontier, and
         branches into its single-qualifier strengthenings.
 
-        ``roots`` seeds the frontier (default: the all-``True`` candidate);
-        ``lemmas`` pre-loads MUSes learned elsewhere (the portfolio bus);
-        ``explore_limit`` caps candidates evaluated this call, leaving the
-        rest in ``frontier``.
+        Returns ``(solutions, failed)``: the full assignments found
+        (abducible guards plus fixpoint valuations), in discovery order,
+        and the last constraint a candidate died on (diagnostics when
+        nothing solves).  The frontier starts at the all-``True``
+        candidate, and at most ``64 * max_candidates`` candidates are
+        evaluated.
 
         The search is *level-stopped*: the queue is size-ordered, so once
         a solution of total guard size ``k`` exists, the first pop of a
@@ -430,12 +371,9 @@ class HornSolver:
         abducibles = {n: sp for n, sp in space_map.items() if sp.abducible}
         positives = {n: sp for n, sp in space_map.items() if not sp.abducible}
         capacity = max(1, opts.max_candidates)
-        if explore_limit is None:
-            explore_limit = 64 * capacity
+        explore_limit = 64 * capacity
 
         musfix = MusFixSolver(space_map, backend=self._backend, budget=opts.mus_budget)
-        if lemmas:
-            self.statistics.lemmas_shared += musfix.import_muses(lemmas)
 
         # The demanding contexts of each abducible: one representative
         # constraint per distinct concrete-premise tuple, weakest first so
@@ -448,15 +386,9 @@ class HornSolver:
                     contexts.setdefault(constr.concrete_premises(), constr)
             mentioning[name] = sorted(contexts.values(), key=lambda c: len(c.concrete_premises()))
 
-        if roots is None:
-            roots = [{name: () for name in sorted(abducibles)}]
-        queue: deque = deque()
-        seen = set()
-        for cand in roots:
-            key = _candidate_key(cand)
-            if key not in seen:
-                seen.add(key)
-                queue.append(dict(cand))
+        root: Assignment = {name: () for name in sorted(abducibles)}
+        queue: deque = deque([root])
+        seen = {_candidate_key(root)}
 
         solutions: List[Assignment] = []
         solution_guards: List[Dict[str, FrozenSet[Formula]]] = []
@@ -593,12 +525,7 @@ class HornSolver:
 
         self.statistics.candidates_pruned += musfix.statistics.candidates_pruned
         self.statistics.muses_enumerated += musfix.statistics.muses_enumerated
-        return CandidateSearchResult(
-            solutions=tuple(solutions),
-            frontier=tuple(queue),
-            failed=failed_constr,
-            lemmas=tuple(musfix.export_muses()),
-        )
+        return tuple(solutions), failed_constr
 
     def _vacuous(
         self,
@@ -624,40 +551,17 @@ class HornSolver:
         space_map: Dict[str, QualifierSpace],
         options: SolveOptions,
     ) -> HornSolution:
-        result = self.search_candidates(constraints, space_map, options)
-        return self.assemble_solution(
-            constraints, result.solutions, result.failed, options, space_map
-        )
+        """Search, then rank the surviving candidates weakest-first.
 
-    def assemble_solution(
-        self,
-        constraints: Sequence[HornConstraint],
-        solutions: Sequence[Assignment],
-        failed: Optional[HornConstraint],
-        options: SolveOptions,
-        spaces: SpacesLike,
-    ) -> HornSolution:
-        """Rank surviving candidates weakest-first into a :class:`HornSolution`.
-
-        Only minimal-total-size solutions survive; deeper ones are either
-        supersets of a minimal guard or strictly stronger strengthenings no
-        weakest-first caller wants.  Because every search (serial, or each
-        portfolio branch) finishes the level a solution lives on before
-        stopping, the minimal level is explored exhaustively everywhere —
-        which is what makes this filter process-count independent.
+        The level stop leaves only minimal-total-size solutions, and the
+        search skips any candidate a found solution's guard covers, so
+        the survivors already form an antichain of at most
+        ``max_candidates`` members; only their order (by qualifier
+        position, not discovery) is left to fix.
         """
-        space_map = as_space_map(spaces)
+        solutions, failed = self.search_candidates(constraints, space_map, options)
         names = sorted(n for n, sp in space_map.items() if sp.abducible)
-
-        def total_size(sol: Assignment) -> int:
-            return sum(len(sol.get(name, ())) for name in names)
-
-        solutions = list(solutions)
-        if solutions:
-            best = min(total_size(sol) for sol in solutions)
-            solutions = [sol for sol in solutions if total_size(sol) == best]
-        survivors = order_solutions(filter_dominated(solutions, names), names, space_map)
-        survivors = survivors[: max(1, options.max_candidates)]
+        survivors = order_solutions(solutions, names, space_map)
         if not survivors:
             return HornSolution(False, {}, failed=failed)
         best = survivors[0]

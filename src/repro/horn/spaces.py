@@ -50,8 +50,8 @@ class QualifierSpace:
 
     def index_of(self, qualifier: Formula) -> int:
         """Position of ``qualifier`` in the space's fixed order — the order
-        the candidate search and the MUS enumerator canonicalize subsets
-        by, so serial and portfolio runs agree on candidate identity."""
+        surviving candidates are ranked by, so the chosen guard does not
+        depend on the order the search discovered them in."""
         return self.qualifiers.index(qualifier)
 
 

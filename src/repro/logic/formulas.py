@@ -110,8 +110,9 @@ class Formula:
     def __reduce__(self) -> Tuple:
         # Rebuild through the constructor rather than copying __dict__: the
         # precomputed _key/_hash embed enum identities and child hashes that
-        # are only valid within one process, and the portfolio ships
-        # formulas to worker processes.  __post_init__ reseals on arrival.
+        # are only valid within one process, and the service's lemma store
+        # pickles formulas to disk for later processes to load.
+        # __post_init__ reseals on arrival.
         return (
             self.__class__,
             tuple(getattr(self, f.name) for f in dataclasses.fields(self)),

@@ -44,7 +44,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .. import limits
-from ..horn.solver import SolveOptions
 from ..syntax.parser import ParseError, Program, parse_term
 from ..syntax.types import generalize
 from ..synth.synthesizer import SynthesisGoal, Synthesizer, describe_goal
@@ -81,7 +80,6 @@ def _component_environment(program: Program, upto: str, backend=None):
 
 def compute_check(
     program: Program,
-    workers: int = 1,
     backend=None,
     timeout_ms: Optional[float] = None,
 ) -> dict:
@@ -94,7 +92,6 @@ def compute_check(
     the progress counters at that point.  Unknowns are counted apart
     from ``failures`` — an unanswered query is not a refuted one.
     """
-    options = SolveOptions(max_workers=workers)
     budget = limits.Budget.from_timeout_ms(timeout_ms) if timeout_ms else None
     items = []
     failures = 0
@@ -105,7 +102,7 @@ def compute_check(
                 session, env = _component_environment(program, name, backend)
                 goal = program.signatures[name]
                 session.check_program(term, goal, env, where=name)
-                outcome = session.solve(options)
+                outcome = session.solve()
             except TypecheckError as error:
                 items.append({"name": name, "status": "rejected", "message": str(error)})
                 failures += 1
@@ -155,7 +152,6 @@ def _unknown_item(name: str, exhausted: limits.BudgetExhausted) -> dict:
 
 def check_query(
     program: Program,
-    workers: int = 1,
     cache: Optional[ResultCache] = None,
     backend=None,
     timeout_ms: Optional[float] = None,
@@ -166,12 +162,12 @@ def check_query(
     answer is valid for any budget — and a payload flagged ``timeout``
     is never stored: partial progress is machine- and load-dependent.
     """
-    digest = query_digest("check", program, {"workers": workers})
+    digest = query_digest("check", program, {})
     if cache is not None:
         payload = cache.get(digest)
         if payload is not None:
             return payload, True, digest
-    payload = compute_check(program, workers, backend, timeout_ms)
+    payload = compute_check(program, backend, timeout_ms)
     if cache is not None and not payload.get("timeout"):
         cache.put(digest, payload)
     return payload, False, digest
@@ -187,7 +183,6 @@ def compute_synth(
     max_conditionals: int = 2,
     max_matches: int = 1,
     backend=None,
-    workers: int = 1,
     timeout_ms: Optional[float] = None,
 ) -> dict:
     """Synthesize every goal (or just ``only``); the ``synth`` payload.
@@ -216,7 +211,6 @@ def compute_synth(
                     max_conditionals=max_conditionals,
                     max_matches=max_matches,
                     backend=backend,
-                    workers=workers,
                 )
                 result = synthesizer.synthesize()
             except limits.BudgetExhausted as exhausted:
@@ -269,7 +263,6 @@ def synth_query(
     cache: Optional[ResultCache] = None,
     backend=None,
     recheck: bool = False,
-    workers: int = 1,
     timeout_ms: Optional[float] = None,
 ) -> Tuple[dict, bool, str]:
     """``synth`` through the cache: ``(payload, was_cached, digest)``.
@@ -284,7 +277,6 @@ def synth_query(
         "depth": depth,
         "max_conditionals": max_conditionals,
         "max_matches": max_matches,
-        "workers": workers,
     }
     digest = query_digest("synth", program, options)
     if cache is not None:
@@ -293,7 +285,7 @@ def synth_query(
             if not recheck or recheck_synth_payload(program, payload):
                 return payload, True, digest
     payload = compute_synth(
-        program, only, depth, max_conditionals, max_matches, backend, workers, timeout_ms
+        program, only, depth, max_conditionals, max_matches, backend, timeout_ms
     )
     if cache is not None and not payload.get("timeout"):
         cache.put(digest, payload)

@@ -26,9 +26,9 @@ alpha-canonical theory lemmas exported from
 are valid sentences of the pure theory, independent of any query, so the
 pool is shared across all keys — a warm worker imports it at startup and
 merges what it learned back after serving.  (The pool is pickled —
-formulas already define cross-process ``__reduce__`` for the portfolio —
-so treat the cache directory with the trust you would give any local
-build cache.)
+formulas define a ``__reduce__`` that reseals their hashes on load, so
+the pool survives a process restart — so treat the cache directory with
+the trust you would give any local build cache.)
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ answers four routes:
 ===========  ======  ====================================================
 ``/healthz``  GET    liveness: ``{"status": "ok", "version": ...}``
 ``/stats``    GET    cache + worker counters (hits, misses, queries, ...)
-``/check``    POST   ``{"program": "<.sq source>", "workers"?: int}``
+``/check``    POST   ``{"program": "<.sq source>"}``
 ``/synth``    POST   ``{"program": "<.sq source>", "only"?, "depth"?,
                      "max_conditionals"?, "max_matches"?, "recheck"?}``
 ===========  ======  ====================================================
@@ -19,7 +19,9 @@ same structures the CLI renders, so a client can diff server answers
 against local runs byte for byte.  Errors are JSON too: ``400`` for a
 malformed body, a parse error, or an unknown goal; ``404`` for any other
 path; ``500`` for an unexpected solver crash (the warm stack has already
-been reset by then).
+been reset by then).  A request rejected before its body was read also
+closes its connection, since the unread bytes cannot be told apart from
+a next request.
 
 **Deadlines.** ``--request-timeout`` arms every POST with a wall-clock
 budget (a per-request ``"timeout_ms"`` body field tightens it further);
@@ -82,12 +84,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
     def _json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self.close_connection = True
+            raise _BadRequest("Content-Length must be a byte count") from None
         if length <= 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise _BadRequest("expected a JSON body with Content-Length")
         try:
             body = json.loads(self.rfile.read(length))
@@ -148,6 +157,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             elif self.path == "/synth":
                 self._reply(*self._handle_synth(self._json_body()))
             else:
+                self.close_connection = True  # the body was never read
                 self._reply(404, {"error": f"no such route: {self.path}"})
         except _BadRequest as error:
             self._reply(400, {"error": str(error)})
@@ -180,12 +190,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _handle_check(self, body: dict) -> Tuple[int, dict]:
         program = self._program(body)
-        workers = self._int(body, "workers", 1)
         server: ReproServer = self.server
         with limits.budget_scope(self._budget(body)):
             with server.stack.query() as backend:
                 payload, cached, digest = api.check_query(
-                    program, workers=workers, cache=server.cache, backend=backend
+                    program, cache=server.cache, backend=backend
                 )
         server.stack.flush_lemmas()
         return self._finish(payload, cached, digest)

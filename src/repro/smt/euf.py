@@ -178,16 +178,6 @@ class CongruenceClosure:
                 return (a, b)
         return None
 
-    def entailed_equalities(self, term_ids: Sequence[int]) -> List[Tuple[int, int]]:
-        """All pairs among ``term_ids`` that the closure proves equal."""
-        self._rebuild_congruence()
-        pairs: List[Tuple[int, int]] = []
-        for index, a in enumerate(term_ids):
-            for b in term_ids[index + 1:]:
-                if a != b and self.are_equal(a, b):
-                    pairs.append((a, b))
-        return pairs
-
     def classes(self) -> Dict[int, Set[int]]:
         """The current partition of all interned terms into classes."""
         self._rebuild_congruence()

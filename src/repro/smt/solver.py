@@ -10,8 +10,8 @@ assignments — so inconsistent branches are refuted while they are still
 partial; the theory also *propagates*, pushing atom values it can already
 entail (LIA bound subsumption, congruence-entailed equalities) back into
 the SAT trail as implications with reason clauses.  Theory conflicts are
-explained (simplex bound tags) or QuickXplain-minimized, learned as
-lemmas, and additionally *generalized*: lemmas are keyed by their
+explained (simplex bound tags) or minimized by linear deletion, learned
+as lemmas, and additionally *generalized*: lemmas are keyed by their
 alpha-canonical renaming, so a structurally identical conflict over fresh
 type variables is answered by instantiating the stored lemma instead of a
 new theory refutation.
@@ -32,7 +32,7 @@ by clause activity so it stays bounded.
 Unexplained conflicts are minimized on a second, private
 :class:`~repro.smt.theory.IncrementalTheory` (the *explainer*): the
 bridge's theory holds the live SAT trail while a conflict is handled, so
-the QuickXplain probes run push/assert/check/pop brackets on their own
+the deletion probes run push/assert/check/pop brackets on their own
 instance, against a simplex that persists across probes.
 
 Per-query preprocessing (see :meth:`IncrementalSolver._preprocess`):
@@ -87,7 +87,7 @@ class SolverStatistics:
     encoded_assertions: int = 0
     #: Assertions answered from the selector table without re-encoding.
     reused_assertions: int = 0
-    #: Theory checks spent minimizing conflicts (QuickXplain probes).
+    #: Theory checks spent minimizing conflicts (deletion probes).
     shrink_theory_checks: int = 0
     # Mirrors of the persistent SAT core's lifetime counters.
     propagations: int = 0
@@ -243,29 +243,6 @@ class TseitinEncoder:
             return self.encode(expanded)
         # A theory atom.
         return self.atom_variable(formula)
-
-    def theory_literals(
-        self, model: Dict[int, bool], restrict: Optional[frozenset] = None
-    ) -> List[Literal]:
-        """The theory literals implied by a propositional model.
-
-        When ``restrict`` is given, only atoms whose variable belongs to it
-        are reported — the incremental backend passes the variables of the
-        *active* assertions, keeping don't-care atoms out of the theory
-        checker.  The restricted path walks ``restrict``, not the
-        solver-lifetime atom table, so its cost tracks the live scope.
-        """
-        literals: List[Literal] = []
-        if restrict is not None:
-            for variable in sorted(restrict):
-                atom = self._var_atoms.get(variable)
-                if atom is not None and variable in model:
-                    literals.append(Literal(atom, model[variable]))
-            return literals
-        for atom, variable in self._atom_vars.items():
-            if variable in model:
-                literals.append(Literal(atom, model[variable]))
-        return literals
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +578,8 @@ class IncrementalSolver:
         """Turn a theory conflict into a blocking clause (and generalize it).
 
         Explained conflicts (simplex bound tags) are near-minimal already;
-        unexplained ones (congruence, Nelson–Oppen) are QuickXplain-shrunk
-        on the private explainer theory before blocking.
+        unexplained ones (congruence, Nelson–Oppen) are shrunk by linear
+        deletion on the private explainer theory before blocking.
         """
         literals, explained = conflict
         if not explained:
@@ -968,29 +945,19 @@ def _evaluate_partial(
     return None
 
 
-#: Below this size a linear deletion scan needs fewer theory checks than
-#: the divide-and-conquer (which pays for re-checking split backgrounds).
-_SHRINK_DELETION_LIMIT = 8
-
-
 def _shrink_conflict(
     theory: IncrementalTheory,
     literals: List[Literal],
     statistics: Optional[SolverStatistics] = None,
 ) -> List[Literal]:
-    """QuickXplain-style divide-and-conquer minimization of an inconsistent
-    literal set (Junker 2004).
+    """Minimize an inconsistent literal set by linear deletion.
 
-    Replaces the former always-linear deletion loop: whole halves that are
-    irrelevant to the conflict are discarded with a single theory check, so
-    small cores inside wide assignments cost O(core * log n) checks instead
-    of O(n).  Tiny conflicts (where deletion's n checks beat the
-    divide-and-conquer's bookkeeping) keep the one-at-a-time scan as the
-    base case.
-
-    Each consistency probe is one push/assert/check/pop bracket on
-    ``theory``, which must not hold the live SAT trail: the caller passes a
-    dedicated explainer instance, left at the depth it came in at.
+    Each literal is dropped in turn while the remainder stays
+    inconsistent, so the result is never a consistent core: at worst it
+    is the full list.  Each consistency probe is one push/assert/check/pop
+    bracket on ``theory``, which must not hold the live SAT trail: the
+    caller passes a dedicated explainer instance, left at the depth it
+    came in at.
     """
 
     def consistent(subset: List[Literal]) -> bool:
@@ -1005,45 +972,15 @@ def _shrink_conflict(
         finally:
             theory.pop()
 
-    def deletion(background: List[Literal], candidates: List[Literal]) -> List[Literal]:
-        """Minimal subset of ``candidates`` inconsistent with ``background``
-        by one-at-a-time deletion — never returns a consistent core."""
-        current = list(candidates)
-        index = 0
-        while index < len(current):
-            trial = current[:index] + current[index + 1 :]
-            if (trial or background) and not consistent(background + trial):
-                current = trial
-            else:
-                index += 1
-        return current
-
-    def quickxplain(
-        background: List[Literal], candidates: List[Literal], background_grew: bool
-    ) -> List[Literal]:
-        if background_grew and not consistent(background):
-            return []
-        if len(candidates) == 1:
-            return list(candidates)
-        if len(candidates) <= _SHRINK_DELETION_LIMIT:
-            return deletion(background, candidates)
-        mid = len(candidates) // 2
-        left, right = candidates[:mid], candidates[mid:]
-        conflict_right = quickxplain(background + left, right, bool(left))
-        conflict_left = quickxplain(background + conflict_right, left, bool(conflict_right))
-        return conflict_left + conflict_right
-
-    if len(literals) <= 1:
-        return list(literals)
-    if len(literals) <= _SHRINK_DELETION_LIMIT:
-        return deletion([], literals)
-    core = quickxplain([], list(literals), False)
-    # Safety net: the divide-and-conquer relies on the theory checker being
-    # monotone; fall back to blocking the full assignment if minimization
-    # ever produced a consistent subset.
-    if core and not consistent(core):
-        return core
-    return list(literals)
+    core = list(literals)
+    index = 0
+    while index < len(core):
+        trial = core[:index] + core[index + 1 :]
+        if trial and not consistent(trial):
+            core = trial
+        else:
+            index += 1
+    return core
 
 
 # ---------------------------------------------------------------------------

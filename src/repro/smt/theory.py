@@ -348,10 +348,6 @@ class IncrementalTheory:
         """Number of open push scopes."""
         return len(self._frames)
 
-    def asserted_literals(self) -> List[Literal]:
-        """The currently asserted literals, oldest first."""
-        return list(self._asserted)
-
     # -- term translation ----------------------------------------------------
 
     def _translate(self, term: Formula) -> int:

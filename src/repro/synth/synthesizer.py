@@ -71,7 +71,7 @@ from ..syntax.types import (
 from ..typecheck.checker import elaborate_match_case, recursion_signature
 from ..typecheck.environment import EMPTY, Environment
 from ..typecheck.errors import TerminationError, TypecheckError
-from ..horn.solver import HornStatistics, SolveOptions
+from ..horn.solver import HornStatistics
 from ..typecheck.session import TypecheckSession
 from .conditions import abduce_condition
 from .enumerator import EnumerationStatistics, ETermEnumerator
@@ -169,13 +169,11 @@ class Synthesizer:
         max_matches: int = 1,
         literals: Sequence[Term] = (IntConst(0),),
         backend: Optional[object] = None,
-        workers: int = 1,
     ) -> None:
         self.goal = goal
         self.max_depth = max_depth
         self.max_conditionals = max_conditionals
         self.max_matches = max_matches
-        self.workers = max(1, workers)
         self.literals: Tuple[Term, ...] = tuple(literals)
         self.statistics = EnumerationStatistics()
         #: The logical form of the term-literal pool: these join every
@@ -190,10 +188,6 @@ class Synthesizer:
         # solver); verification below always builds a fresh session, so a
         # warm backend can never vouch for its own search's result.
         self.session, self.base_env = goal.session_environment(self._formula_literals, backend)
-        # `synth --workers N` reaches abduction through the session's
-        # default solve options: every condition search fans its candidate
-        # branches across the portfolio.
-        self.session.solve_options = SolveOptions(max_workers=self.workers)
         #: The goal's free type variables are parametric: enumeration never
         #: instantiates them with concrete types (see rigid_shape_match).
         self.rigid = frozenset(free_type_variables(goal.goal))

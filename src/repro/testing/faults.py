@@ -1,8 +1,8 @@
 """Fault injection: named failure points the chaos suite can arm.
 
 Production code hosts *injection points* — one :func:`maybe_fire` call at
-each place the robustness layer claims to survive: a portfolio worker
-dying mid-solve, a cache entry corrupting mid-read, a theory check
+each place the robustness layer claims to survive: a batch worker
+dying mid-file, a cache entry corrupting mid-read, a theory check
 raising, a warm stack stalling past its deadline.  Disarmed (the default,
 and the only state outside the chaos tests) a point is a dict lookup
 against an empty table plus, on first use per process, one environment
@@ -10,9 +10,9 @@ read — nothing fires, nothing allocates.
 
 Arming is either programmatic (:func:`arm`, for same-process tests) or
 via the ``REPRO_FAULTS`` environment variable (``point`` or
-``point:count``, comma-separated) — the env path exists because the
-portfolio's worker *processes* must inherit the arming, and environment
-plus forked module state is exactly what they inherit.  Each armed point
+``point:count``, comma-separated) — the env path exists because a
+separately launched process (a ``repro serve`` under test) must pick up
+the arming, and the environment is what it inherits.  Each armed point
 fires ``count`` times (default 1) per process, then stays quiet, so a
 chaos test can kill exactly one worker and assert the rest of the run
 degrades rather than dies.

@@ -212,28 +212,6 @@ class TestProgramFormat:
         assert program.goals == ("replicate",)
 
 
-class TestWorkersFlag:
-    def test_check_accepts_workers(self, tmp_path):
-        source = tmp_path / "ok.sq"
-        source.write_text(CHECK_SQ)
-        code, output = run(["check", str(source), "--workers", "2"])
-        assert code == EXIT_OK
-        assert "plus2: OK" in output
-
-    def test_workers_do_not_change_a_rejection(self, tmp_path):
-        source = tmp_path / "bad.sq"
-        source.write_text(BAD_CHECK_SQ)
-        serial_code, serial_out = run(["check", str(source)])
-        parallel_code, parallel_out = run(["check", str(source), "--workers", "2"])
-        assert serial_code == parallel_code == EXIT_FAILURE
-        assert serial_out == parallel_out
-
-    def test_workers_listed_in_check_help(self, capsys):
-        code, _ = run(["check", "--help"])
-        assert code == EXIT_OK
-        assert "--workers" in capsys.readouterr().out
-
-
 class TestCacheFlags:
     def test_every_verb_takes_cache_flags(self, capsys):
         for verb in ("check", "synth", "batch", "serve"):

@@ -3,13 +3,10 @@
 Each test arms one named failure point (:mod:`repro.testing.faults`) and
 asserts the stack *degrades* exactly as documented instead of dying:
 
-* a portfolio worker killed mid-solve → the branch group is re-searched
-  inline and the results equal a clean serial run (on the whole examples
-  corpus — the acceptance bar for this machinery);
-* the process pool unavailable outright → transparent serial fallback;
 * a cache entry corrupted mid-read → counted, dropped, recomputed;
 * a theory check raising → the batch sweep records one failure, resets
   the warm stack (visibly), and finishes the rest;
+* a batch worker dying mid-file → retried, or failing only that file;
 * a warm stack stalling past its deadline → the server answers 503 and
   ``/stats`` shows a timeout reset;
 * ``synth --timeout-ms`` on an oversized goal → exit code 2 with a
@@ -26,16 +23,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.horn import HornSolver, SolveOptions
 from repro.service.batch import run_batch
 from repro.service.cache import ResultCache
 from repro.service.server import ReproServer
-from repro.syntax.parser import parse_program
-from repro.syntax.types import generalize
 from repro.testing import faults
-from repro.typecheck.environment import EMPTY
-from repro.typecheck.session import TypecheckSession
-from test_portfolio import two_guard_system
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -65,57 +56,6 @@ class TestFaultHarness:
         for _ in range(3):
             assert faults.maybe_fire("b")
         assert not faults.maybe_fire("b")
-
-
-def check_outcomes(program, options=None):
-    """Every definition in ``program`` through the checker; the list of
-    (solved, assignment, candidates) triples — the serial baseline the
-    degraded runs must reproduce."""
-    outcomes = []
-    for name, term in program.definitions.items():
-        session = TypecheckSession(
-            datatypes=program.datatypes.values(),
-            measure_defs=program.measures.values(),
-        )
-        env = session.bind_constructors(EMPTY)
-        for signame, rtype in program.signatures.items():
-            if signame == name:
-                break
-            env = env.bind(signame, generalize(rtype))
-        session.check_program(term, program.signatures[name], env, where=name)
-        outcome = session.solve(options)
-        outcomes.append((outcome.solved, outcome.assignment, outcome.candidates))
-    return outcomes
-
-
-class TestPortfolioWorkerDeath:
-    def test_dead_worker_degrades_to_inline_search(self):
-        constraints, spaces = two_guard_system()
-        serial = HornSolver().solve(constraints, spaces)
-        faults.arm("portfolio.worker-death.0")
-        coordinator = HornSolver()
-        degraded = coordinator.solve(constraints, spaces, SolveOptions(max_workers=2))
-        assert degraded.solved == serial.solved
-        assert degraded.assignment == serial.assignment
-        assert coordinator.statistics.worker_deaths >= 1
-
-    @pytest.mark.parametrize("example", sorted(p.name for p in EXAMPLES.glob("*.sq")))
-    def test_corpus_survives_a_worker_death(self, example):
-        """Acceptance: killing one portfolio worker mid-solve still
-        produces the serial result set on the whole examples corpus."""
-        program = parse_program((EXAMPLES / example).read_text())
-        serial = check_outcomes(program)
-        faults.arm("portfolio.worker-death.0", times=len(program.definitions) or 1)
-        degraded = check_outcomes(program, SolveOptions(max_workers=2))
-        assert degraded == serial
-
-    def test_executor_unavailable_falls_back_to_serial(self):
-        constraints, spaces = two_guard_system()
-        serial = HornSolver().solve(constraints, spaces)
-        faults.arm("portfolio.executor-down")
-        fallback = HornSolver().solve(constraints, spaces, SolveOptions(max_workers=2))
-        assert fallback.solved == serial.solved
-        assert fallback.assignment == serial.assignment
 
 
 class TestCacheCorruption:

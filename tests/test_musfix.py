@@ -6,7 +6,7 @@ whose conjunction is inconsistent with the constraint's concrete premises
 applies.  The tests pin the three MARCO invariants (every enumerated MUS
 is refuting, every enumerated MUS is minimal, map seeds never repeat),
 check enumeration completeness against brute force on small pools, and
-exercise pruning, budgets, and the portfolio lemma bus.
+exercise pruning and budgets.
 """
 
 from itertools import combinations
@@ -122,7 +122,9 @@ class TestPruneCandidates:
         superset_doomed = {"C": (ops.ge(x, ZERO), ops.ge(x, ONE), ops.le(x, ZERO))}
         viable = {"C": (ops.le(x, NEG_ONE),)}
         empty = {"C": ()}
-        survivors = solver.prune_candidates([doomed, superset_doomed, viable, empty], constr)
+        survivors = solver.prune_everywhere(
+            [doomed, superset_doomed, viable, empty], {"C": [constr]}
+        )
         assert survivors == [viable, empty]
         assert solver.statistics.candidates_pruned == 2
 
@@ -133,7 +135,7 @@ class TestPruneCandidates:
         # the same qualifiers under an unknown the constraint never
         # mentions are untouched
         other = {"D": (ops.ge(x, ONE), ops.le(x, ZERO))}
-        assert solver.prune_candidates([other], constr) == [other]
+        assert solver.prune_everywhere([other], {"C": [constr]}) == [other]
 
 
 class TestBudgetAndResume:
@@ -164,28 +166,6 @@ class TestBudgetAndResume:
         assert solver.statistics.theory_checks == checks_after_first
 
 
-class TestLemmaBus:
-    def test_export_import_round_trip(self):
-        constr = guard_constraint()
-        learner = MusFixSolver({})
-        learner.enumerate_muses(constr, POOL)
-        lemmas = learner.export_muses()
-        assert len(lemmas) == learner.statistics.muses_enumerated == 3
-
-        receiver = MusFixSolver({})
-        assert receiver.import_muses(lemmas) == 3
-        assert receiver.import_muses(lemmas) == 0  # idempotent
-        # imported lemmas prune but are not counted as enumerated here
-        assert receiver.statistics.muses_enumerated == 0
-        assert receiver.statistics.lemmas_imported == 3
-        doomed = {"C": (ops.ge(x, ONE), ops.le(x, ZERO))}
-        assert receiver.prune_candidates([doomed], constr) == []
-        # and they are returned without re-running MARCO
-        assert {frozenset(m) for m in receiver.enumerate_muses(constr, POOL)} == {
-            frozenset(m) for (_, m) in lemmas
-        }
-
-
 class TestVacuity:
     def test_is_vacuous_learns_a_mus_from_the_witness(self):
         hard = ops.ge(x, IntLit(5))
@@ -195,9 +175,7 @@ class TestVacuity:
         assert not solver.is_vacuous(constr, (ops.ge(x, ZERO),))
         # the discovery was shrunk and recorded: it now prunes candidates
         doomed = {"C": (ops.ge(x, ZERO), ops.le(x, ZERO))}
-        assert solver.prune_candidates([doomed], constr) == []
-
-
+        assert solver.prune_everywhere([doomed], {"C": [constr]}) == []
 
 
 class TestInterfaceShape:
@@ -210,11 +188,11 @@ class TestInterfaceShape:
             inspect.signature(MusFixSolver.enumerate_muses).parameters
         )
         assert enumerate_parameters == ["self", "constraint", "valuation"]
-        prune_parameters = list(inspect.signature(MusFixSolver.prune_candidates).parameters)
-        assert prune_parameters == ["self", "candidates", "constraint"]
+        prune_parameters = list(inspect.signature(MusFixSolver.prune_everywhere).parameters)
+        assert prune_parameters == ["self", "candidates", "mentioning"]
 
     def test_methods_no_longer_raise_not_implemented(self):
         constr = HornConstraint((Unknown("C"),), ops.ge(x, ZERO))
         solver = MusFixSolver({})
         assert solver.enumerate_muses(constr, [ops.bool_lit(True)]) == []
-        assert solver.prune_candidates([], constr) == []
+        assert solver.prune_everywhere([], {"C": [constr]}) == []

@@ -8,10 +8,14 @@ through a fresh solver.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.logic import ops
+from repro.logic.formulas import IntLit, Unknown, value_var
+from repro.logic.sorts import INT
 from repro.service import cache as cache_mod
 from repro.service.cache import (
     CACHE_SCHEMA_VERSION,
@@ -80,7 +84,7 @@ class TestDigests:
 
     def test_verb_and_options_separate_keys(self):
         program = parse_program(MAX_SQ)
-        check = query_digest("check", program, {"workers": 1})
+        check = query_digest("check", program, {})
         synth = query_digest("synth", program, {"depth": 4})
         deeper = query_digest("synth", program, {"depth": 5})
         assert len({check, synth, deeper}) == 3
@@ -187,3 +191,17 @@ class TestLemmaStore:
         total = store.merge(lemmas)
         assert total == min(3, len(lemmas))
         assert store.merge(lemmas) == total, "re-merging must not grow the pool"
+
+    def test_formula_round_trip_preserves_equality_and_hash(self):
+        """The pool is pickled, so a formula loaded in a later process must
+        rebuild its precomputed hash (enum members hash by identity) —
+        what ``Formula.__reduce__`` guarantees."""
+        x = ops.var("x", INT)
+        formulas = [
+            ops.ge(x, IntLit(0)),
+            ops.and_(ops.le(x, value_var(INT)), Unknown("P", (("_v", x),))),
+        ]
+        for formula in formulas:
+            clone = pickle.loads(pickle.dumps(formula))
+            assert clone == formula
+            assert hash(clone) == hash(formula)

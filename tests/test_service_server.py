@@ -7,6 +7,7 @@ what ``curl`` sees: status codes, JSON bodies, and the warm-cache
 """
 
 import json
+import socket
 import threading
 import time
 from http.client import HTTPConnection
@@ -54,6 +55,23 @@ def call(server, method, path, body=None, raw=None):
     answer = json.loads(response.read())
     conn.close()
     return response.status, answer
+
+
+def raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes on one connection; everything the server answers
+    before it closes the connection (or goes quiet for two seconds)."""
+    with socket.create_connection(("127.0.0.1", server.server_port), timeout=2) as sock:
+        sock.sendall(request)
+        received = b""
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        except socket.timeout:
+            pass
+    return received
 
 
 class TestRoutes:
@@ -106,6 +124,13 @@ class TestCheckRoute:
         _, stats = call(server, "GET", "/stats")
         assert stats["cache"]["hits"] == 1
         assert stats["worker"]["queries"] == 2
+
+    def test_unknown_body_keys_are_ignored_and_share_the_cache_entry(self, server):
+        status, first = call(server, "POST", "/check", {"program": CHECK_SQ, "workers": 2})
+        assert status == 200 and not first["cached"]
+        status, second = call(server, "POST", "/check", {"program": CHECK_SQ})
+        assert status == 200 and second["cached"]
+        assert second["digest"] == first["digest"]
 
     def test_rejection_is_a_200_with_failures(self, server):
         bad = CHECK_SQ.replace("inc (inc a)", "inc a")
@@ -163,3 +188,20 @@ class TestBadRequests:
         status, body = call(server, "POST", "/check")
         assert status == 400
         assert "expected a JSON body" in body["error"]
+
+    def test_non_numeric_content_length_is_400(self, server):
+        answer = raw_exchange(
+            server, b"POST /check HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n{}"
+        )
+        assert answer.startswith(b"HTTP/1.1 400 "), answer[:80]
+        assert b"Content-Length must be a byte count" in answer
+
+    def test_unread_body_is_never_parsed_as_a_request(self, server):
+        # An oversized body is rejected unread; a request hidden inside it
+        # must not be answered on the same connection.
+        head = b"POST /check HTTP/1.1\r\nHost: x\r\nContent-Length: 999999999999\r\n\r\n"
+        hidden = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        answer = raw_exchange(server, head + hidden)
+        assert answer.startswith(b"HTTP/1.1 400 "), answer[:80]
+        assert answer.count(b"HTTP/1.1 ") == 1, answer
+        assert b"Connection: close" in answer

@@ -4,9 +4,8 @@ The candidate-set Horn search can return a surviving-candidate *antichain*
 with several incomparable guards; the synthesizer realizes the antichain as
 a nested conditional chain (``if g1 ... else if g2 ... else ...``) and
 discharges a whole-term coverage obligation before accepting it.  These
-tests pin the antichain itself, the realized multi-guard programs, guard
-order independence, and serial ≡ portfolio determinism over the whole
-``examples/`` corpus.
+tests pin the antichain itself, the realized multi-guard programs, and
+guard order independence.
 """
 
 import random
@@ -19,7 +18,7 @@ from repro.logic.formulas import Var, value_var
 from repro.logic.qualifiers import default_qualifiers, make_qualifier, placeholder
 from repro.logic.sorts import INT
 from repro.synth import SynthesisGoal, Synthesizer, abduce_condition
-from repro.syntax import IfTerm, parse_program, parse_term, parse_type, pretty_term
+from repro.syntax import IfTerm, parse_program, parse_term, parse_type
 from repro.syntax.types import int_type
 from repro.typecheck import EMPTY, TypecheckSession
 
@@ -123,28 +122,6 @@ class TestDisjunctiveSynthesis:
         assert stats["candidates_explored"] > 1
         assert stats["muses_enumerated"] > 0
         assert stats["candidates_pruned"] > 0
-
-
-#: Whole corpus: (file, goal, depth) — kept in sync with scripts/bench_synth.py.
-CORPUS = [
-    ("max.sq", "max", 3),
-    ("replicate.sq", "replicate", 4),
-    ("stutter.sq", "stutter", 4),
-    ("list.sq", "length", 3),
-    ("list.sq", "append", 4),
-    ("sign.sq", "sign", 3),
-]
-
-
-class TestPortfolioDeterminism:
-    @pytest.mark.parametrize("filename,goal,depth", CORPUS)
-    def test_serial_and_portfolio_synthesize_the_same_program(self, filename, goal, depth):
-        """`--workers` only parallelizes the Horn candidate walk; the
-        program that comes out is byte-identical either way."""
-        _, serial = synth_example(filename, goal, depth, workers=1)
-        _, portfolio = synth_example(filename, goal, depth, workers=2)
-        assert serial.solved and portfolio.solved
-        assert pretty_term(serial.program) == pretty_term(portfolio.program)
 
 
 class TestGuardOrderIndependence:

@@ -7,10 +7,10 @@ via undo trails.  These tests pin its behaviour to the stateless
 :class:`repro.smt.theory.TheoryChecker` oracle: on every prefix of every
 random assert/push/pop sequence the two must agree on consistency.
 
-The explainer tests pin conflict minimization: QuickXplain over the
+The explainer tests pin conflict minimization: linear deletion over the
 solver's private incremental theory must return exactly the core it
-returns over the stateless oracle, and production must never reach the
-oracle.
+returns over the stateless oracle, that core must be minimal, and
+production must never reach the oracle.
 
 The lemma-generalization tests pin the cross-candidate replay path: a
 theory conflict refuted once must answer every alpha-renamed copy of
@@ -192,6 +192,8 @@ class TestExplainer:
             assert core == expected, f"cores differ on {literals}"
             assert incremental_stats.shrink_theory_checks == oracle_stats.shrink_theory_checks
             assert not oracle.is_consistent(core)
+            for index in range(len(core)):
+                assert oracle.is_consistent(core[:index] + core[index + 1 :]), "not minimal"
 
     def test_synthesis_never_consults_the_oracle(self, monkeypatch):
         def refuse(self, literals):
@@ -209,7 +211,7 @@ class TestExplainer:
         )
         stats = synthesizer.session.backend.statistics
         # Conflicts were explained (not only blocked whole) on the explainer.
-        assert stats.shrink_theory_checks == 14
+        assert stats.shrink_theory_checks == 11
         assert (stats.sat_queries, stats.conflicts, stats.tableau_pivots) == (70, 1, 69)
 
 
