@@ -12,9 +12,11 @@ Three workloads over the ``examples/`` corpus::
   The runner asserts the warm sweep hits on every file **and** runs at
   least 5x faster than the slowest cold sweep — the service's headline
   guarantee, enforced on every CI run, not just eyeballed once.
-- ``service.server-check`` — one HTTP round-trip of a cached ``check``
-  against a live :class:`repro.service.server.ReproServer`: what a
-  client pays when the answer is already known.
+- ``service.server-check`` — the mean HTTP round-trip of a cached
+  ``check`` against a live :class:`repro.service.server.ReproServer`
+  over a batch of :data:`ROUND_TRIPS`: what a client pays when the answer
+  is already known.  A single millisecond-scale round trip is mostly
+  scheduler jitter; the batch mean is steady enough for the 2.5x gate.
 
 Cache hit/miss counters ride along as the deterministic fingerprint
 (``check_bench_regression.py`` reports drift); CI gates the timings
@@ -51,6 +53,9 @@ _cold_timings = []
 
 #: The cache directory the cold runs populate and the warm runs reuse.
 _warm_dir = None
+
+#: Cached round trips timed per ``service.server-check`` sample.
+ROUND_TRIPS = 50
 
 
 def _batch_counters(report: dict) -> dict:
@@ -124,12 +129,16 @@ def run_server_check():
             assert response.status == 200, answer
             return answer
 
-        post()  # prewarm: the timed round-trip measures a cache hit
+        post()  # prewarm: every timed round trip measures a cache hit
+        answers = []
         start = time.perf_counter()
-        answer = post()
-        elapsed = time.perf_counter() - start
-        assert answer["cached"], "second request missed the warm cache"
-        return elapsed, {"cached": 1, "failures": answer["result"]["failures"]}
+        for _ in range(ROUND_TRIPS):
+            answers.append(post())
+        elapsed = (time.perf_counter() - start) / ROUND_TRIPS
+        for answer in answers:
+            assert answer["cached"], "a timed request missed the warm cache"
+            assert answer["result"]["failures"] == 0, "list.sq changed verdict"
+        return elapsed, {"cached": 1, "failures": answers[-1]["result"]["failures"]}
     finally:
         server.shutdown()
         server.server_close()

@@ -3,7 +3,9 @@
 
 Times the full round-trip synthesis pipeline — program parsing, E-term
 enumeration with early liquid pruning, condition abduction, and the final
-independent re-check — on the ``examples/*.sq`` goals::
+independent re-check — on the ``examples/*.sq`` goals, plus the
+length-indexed ``drop`` (``synthbench/inputs/drop.sq``, read only), the
+goal where abduction and MUS pruning dominate::
 
     PYTHONPATH=src python scripts/bench_synth.py --output BENCH_synth.json
 
@@ -29,14 +31,15 @@ import benchlib  # noqa: E402
 from repro.syntax import parse_program  # noqa: E402
 from repro.synth import SynthesisGoal, Synthesizer  # noqa: E402
 
-#: (benchmark name, example file, goal, enumeration depth)
+#: (benchmark name, program file relative to the repo root, goal, enumeration depth)
 WORKLOADS = [
-    ("synth.max", "max.sq", "max", 3),
-    ("synth.replicate", "replicate.sq", "replicate", 4),
-    ("synth.stutter", "stutter.sq", "stutter", 4),
-    ("synth.length", "list.sq", "length", 3),
-    ("synth.append", "list.sq", "append", 4),
-    ("synth.sign", "sign.sq", "sign", 3),
+    ("synth.max", "examples/max.sq", "max", 3),
+    ("synth.replicate", "examples/replicate.sq", "replicate", 4),
+    ("synth.stutter", "examples/stutter.sq", "stutter", 4),
+    ("synth.length", "examples/list.sq", "length", 3),
+    ("synth.append", "examples/list.sq", "append", 4),
+    ("synth.sign", "examples/sign.sq", "sign", 3),
+    ("synth.drop", "synthbench/inputs/drop.sq", "drop", 3),
 ]
 
 
@@ -57,14 +60,14 @@ def run_workload(source: str, goal_name: str, depth: int):
     return elapsed, counters
 
 
-def _runner(filename: str, goal_name: str, depth: int):
-    source = (ROOT / "examples" / filename).read_text()
+def _runner(path: str, goal_name: str, depth: int):
+    source = (ROOT / path).read_text()
     return lambda: run_workload(source, goal_name, depth)
 
 
 BENCHMARKS = {
-    name: _runner(filename, goal_name, depth)
-    for name, filename, goal_name, depth in WORKLOADS
+    name: _runner(path, goal_name, depth)
+    for name, path, goal_name, depth in WORKLOADS
 }
 
 

@@ -12,6 +12,11 @@ branch condition is for); a candidate is dropped — without a single
 theory query — once known MUSes refute one of its guards in **every**
 context demanding that unknown (:meth:`MusFixSolver.dooms_everywhere`),
 which makes the guard unsatisfiable at its own declaration point.
+The candidate search runs that test on each successor before queueing
+it and on each candidate it pops; :meth:`MusFixSolver.prune_everywhere`
+re-tests the whole queued frontier after a failed candidate only when
+:attr:`MusFixSolver.epoch` moved — it counts new MUSes, and the store
+only grows, so a queued verdict cannot change while it stands still.
 
 Enumeration is the MARCO algorithm (Liffiton et al.): a propositional
 "map" solver — one persistent :class:`repro.smt.sat.SatSolver` per
@@ -90,6 +95,9 @@ class MusFixSolver:
         #: originals.
         self._mus_sets: Dict[HornConstraint, List[FrozenSet[Formula]]] = {}
         self._mus_order: Dict[HornConstraint, List[Tuple[Formula, ...]]] = {}
+        #: Bumped on every *new* MUS: the store only grows, so a verdict
+        #: of :meth:`dooms_everywhere` cannot change while it stands still.
+        self.epoch = 0
         #: Vacuity memo keyed by (concrete premises, valuation): many
         #: constraints share one premise context (same program point), so
         #: one theory check answers for all of them.  The value is the
@@ -222,6 +230,7 @@ class MusFixSolver:
         known.append(mus_set)
         self._mus_order.setdefault(constraint, []).append(mus)
         self.statistics.muses_enumerated += 1
+        self.epoch += 1
 
     # -- candidate pruning ---------------------------------------------------
 

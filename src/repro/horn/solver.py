@@ -347,8 +347,9 @@ class HornSolver:
         Contradicting only *some* contexts is fine: such a guard merely
         makes those program points unreachable, which is exactly what a
         branch condition is for.  A failed candidate feeds the failing
-        constraint to the MUS enumerator, prunes the frontier, and
-        branches into its single-qualifier strengthenings.
+        constraint to the MUS enumerator, re-prunes the frontier when that
+        recorded a new MUS, and branches into its single-qualifier
+        strengthenings.
 
         Returns ``(solutions, failed)``: the full assignments found
         (abducible guards plus fixpoint valuations), in discovery order,
@@ -389,6 +390,10 @@ class HornSolver:
         root: Assignment = {name: () for name in sorted(abducibles)}
         queue: deque = deque([root])
         seen = {_candidate_key(root)}
+        # MUS epoch the queued candidates were last tested at: each was
+        # tested when enqueued or at the last re-prune, so only a MUS
+        # recorded since can drop one.
+        pruned_epoch = musfix.epoch
 
         solutions: List[Assignment] = []
         solution_guards: List[Dict[str, FrozenSet[Formula]]] = []
@@ -497,20 +502,16 @@ class HornSolver:
                 musfix.prefill_contexts(mentioning[name], abducibles[name].qualifiers)
                 for rep in mentioning[name]:
                     musfix.enumerate_muses(rep, abducibles[name].qualifiers)
-            if repairable and len(queue):
+            if repairable and queue and musfix.epoch != pruned_epoch:
                 queue = deque(musfix.prune_everywhere(list(queue), mentioning))
+                pruned_epoch = musfix.epoch
             for name in repairable:
                 space = abducibles[name]
-                current = set(candidate[name])
-                if space.max_conjuncts is not None and len(current) >= space.max_conjuncts:
+                if space.max_conjuncts is not None and len(candidate[name]) >= space.max_conjuncts:
                     continue  # guard at its size cap: no further strengthening
-                for qualifier in space.qualifiers:
-                    if qualifier in current:
-                        continue
+                for guard_successor in space.strengthenings(candidate[name]):
                     successor = dict(candidate)
-                    successor[name] = tuple(
-                        q for q in space.qualifiers if q in current or q == qualifier
-                    )
+                    successor[name] = guard_successor
                     key = _candidate_key(successor)
                     if key in seen:
                         continue

@@ -13,7 +13,8 @@ iteration starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from ..logic.formulas import Formula, value_var
 from ..logic.qualifiers import Qualifier, instantiate_all
@@ -38,6 +39,10 @@ class QualifierSpace:
     size so the search terminates on unabducible goals at the same depth
     the brute-force subset walk did.  ``None`` leaves the valuation size
     unbounded (the whole power set of the space is reachable).
+
+    ``qualifiers`` is a set in a fixed order (:func:`build_space`
+    deduplicates it); that order is the *canonical* one every valuation
+    the candidate search builds is kept in.
     """
 
     unknown: str
@@ -48,11 +53,32 @@ class QualifierSpace:
     def __len__(self) -> int:
         return len(self.qualifiers)
 
+    @cached_property
+    def _positions(self) -> Dict[Formula, int]:
+        """Qualifier -> position in the fixed order, built on first use."""
+        return {qualifier: index for index, qualifier in enumerate(self.qualifiers)}
+
     def index_of(self, qualifier: Formula) -> int:
         """Position of ``qualifier`` in the space's fixed order — the order
         surviving candidates are ranked by, so the chosen guard does not
         depend on the order the search discovered them in."""
-        return self.qualifiers.index(qualifier)
+        try:
+            return self._positions[qualifier]
+        except KeyError:
+            raise ValueError(f"{qualifier} is not in the space of {self.unknown}") from None
+
+    def strengthenings(self, valuation: Sequence[Formula]) -> Iterator[Tuple[Formula, ...]]:
+        """Each ``valuation`` plus one qualifier of the space it lacks, in
+        the added qualifier's space order, every one in canonical order.
+
+        Built from positions, so a successor costs its own size, not a
+        rescan of the whole space.
+        """
+        held = [self._positions[q] for q in valuation]
+        taken = set(held)
+        for index in range(len(self.qualifiers)):
+            if index not in taken:
+                yield tuple(self.qualifiers[i] for i in sorted(held + [index]))
 
 
 def build_space(

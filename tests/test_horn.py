@@ -1,5 +1,7 @@
 """Tests for the Horn-constraint fixpoint solver (Sec. 5 of the paper)."""
 
+import random
+
 import pytest
 
 from repro.horn import (
@@ -218,6 +220,35 @@ class TestSpaces:
         space = build_space("P", default_qualifiers(), [x, y], value_sort=INT)
         # 4 qualifiers x 6 ordered distinct pairs of {x, y, nu}
         assert len(space) == 24
+
+    def test_strengthenings_match_the_space_rescan(self):
+        """Successors built from qualifier positions equal the rescan of
+        the whole space they replace, on random spaces and valuations."""
+        variables = [ops.var(name, INT) for name in "abcd"] + [nu]
+        atoms = [
+            build(lhs, rhs)
+            for build in (ops.le, ops.lt, ops.eq, ops.neq)
+            for lhs in variables
+            for rhs in variables + [IntLit(0), IntLit(1)]
+            if lhs is not rhs
+        ]
+        rng = random.Random(15)
+        for _ in range(200):
+            space = QualifierSpace("C", tuple(rng.sample(atoms, rng.randint(0, 24))))
+            current = rng.sample(space.qualifiers, rng.randint(0, min(4, len(space))))
+            expected = [
+                tuple(q for q in space.qualifiers if q in current or q == qualifier)
+                for qualifier in space.qualifiers
+                if qualifier not in current
+            ]
+            assert list(space.strengthenings(current)) == expected
+            for qualifier in space.qualifiers:
+                assert space.index_of(qualifier) == space.qualifiers.index(qualifier)
+
+    def test_index_of_rejects_a_foreign_qualifier(self):
+        space = QualifierSpace("P", (ops.le(x, nu),))
+        with pytest.raises(ValueError):
+            space.index_of(ops.le(y, nu))
 
 
 def disjunctive_system():

@@ -11,7 +11,7 @@ exercise pruning and budgets.
 
 from itertools import combinations
 
-from repro.horn import HornConstraint, constraint
+from repro.horn import HornConstraint, HornSolver, QualifierSpace, constraint
 from repro.horn.musfix import MusFixSolver
 from repro.logic import ops
 from repro.logic.formulas import IntLit, Unknown
@@ -176,6 +176,50 @@ class TestVacuity:
         # the discovery was shrunk and recorded: it now prunes candidates
         doomed = {"C": (ops.ge(x, ZERO), ops.le(x, ZERO))}
         assert solver.prune_everywhere([doomed], {"C": [constr]}) == []
+
+
+class TestMusEpoch:
+    def test_only_a_new_mus_bumps_the_epoch(self):
+        constr = guard_constraint()
+        other = guard_constraint(ops.ge(x, ONE))
+        solver = MusFixSolver({})
+        assert solver.epoch == 0
+        solver._record_mus(constr, (ops.ge(x, ONE), ops.le(x, ZERO)))
+        assert solver.epoch == 1
+        # the same subset again, in another order: a duplicate
+        solver._record_mus(constr, (ops.le(x, ZERO), ops.ge(x, ONE)))
+        assert solver.epoch == 1
+        solver._record_mus(constr, (ops.ge(x, ZERO), ops.le(x, NEG_ONE)))
+        assert solver.epoch == 2
+        # a known subset is still new for another constraint
+        solver._record_mus(other, (ops.ge(x, ONE), ops.le(x, ZERO)))
+        assert solver.epoch == 3
+        assert solver.statistics.muses_enumerated == 3
+
+    def test_search_step_with_unchanged_epoch_skips_the_reprune(self, monkeypatch):
+        """A failed candidate with queued siblings re-prunes the frontier
+        only when a MUS was recorded since the last prune.  Here the pool is
+        consistent as a whole, so no MUS ever exists, and the conjunctive
+        goal fails the root and the size-1 candidates with a full queue."""
+        y = ops.var("y", INT)
+        pool = (ops.ge(x, ZERO), ops.ge(y, ZERO), ops.le(x, y))
+        space = QualifierSpace("C", pool, abducible=True)
+        goal = constraint([Unknown("C")], ops.ge(ops.plus(x, y), ZERO), "sum")
+        prunes = []
+        real_prune = MusFixSolver.prune_everywhere
+
+        def spy(self, candidates, mentioning):
+            prunes.append(len(candidates))
+            return real_prune(self, candidates, mentioning)
+
+        monkeypatch.setattr(MusFixSolver, "prune_everywhere", spy)
+        solver = HornSolver()
+        solutions, _ = solver.search_candidates([goal], {"C": space})
+        assert (ops.ge(x, ZERO), ops.ge(y, ZERO)) in [s["C"] for s in solutions]
+        assert solver.statistics.muses_enumerated == 0
+        # the root, then size-1 candidates failing with siblings queued
+        assert solver.statistics.candidates_explored >= 3
+        assert prunes == []
 
 
 class TestInterfaceShape:

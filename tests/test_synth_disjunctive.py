@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.horn.musfix import MusFixSolver
 from repro.logic import ops
 from repro.logic.formulas import Var, value_var
 from repro.logic.qualifiers import default_qualifiers, make_qualifier, placeholder
@@ -24,7 +25,8 @@ from repro.typecheck import EMPTY, TypecheckSession
 
 pytestmark = pytest.mark.timeout(120)
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 X = Var("x", INT)
 Y = Var("y", INT)
@@ -122,6 +124,50 @@ class TestDisjunctiveSynthesis:
         assert stats["candidates_explored"] > 1
         assert stats["muses_enumerated"] > 0
         assert stats["candidates_pruned"] > 0
+
+
+class TestAbductionFrontierWork:
+    """Cold ``drop`` does the most abduction of the goals here: its
+    frontiers hold over a thousand candidates.  Queued candidates were all
+    tested against the MUS store when enqueued, so the frontier is
+    re-pruned only after a new MUS; pinning the number of candidate tests
+    keeps a full re-scan per failed candidate (~85,000 tests) from
+    returning."""
+
+    @staticmethod
+    def synthesize_drop():
+        source = (ROOT / "synthbench" / "inputs" / "drop.sq").read_text()
+        goal = SynthesisGoal.from_program(parse_program(source), "drop")
+        result = Synthesizer(goal, max_depth=3).synthesize()
+        assert result.solved and result.verified
+        assert result.statistics.as_dict()["abductions"] > 0
+
+    def test_cold_drop_tests_few_candidates(self, monkeypatch):
+        tests = []
+        real_dooms = MusFixSolver.dooms_everywhere
+
+        def dooms(self, candidate, mentioning):
+            tests.append(1)
+            return real_dooms(self, candidate, mentioning)
+
+        monkeypatch.setattr(MusFixSolver, "dooms_everywhere", dooms)
+        self.synthesize_drop()
+        assert len(tests) < 5000
+
+    def test_cold_drop_reprunes_only_after_a_new_mus(self, monkeypatch):
+        epochs = {}
+        real_prune = MusFixSolver.prune_everywhere
+
+        def prune(self, candidates, mentioning):
+            epochs.setdefault(id(self), []).append(self.epoch)
+            return real_prune(self, candidates, mentioning)
+
+        monkeypatch.setattr(MusFixSolver, "prune_everywhere", prune)
+        self.synthesize_drop()
+        assert epochs
+        for seen in epochs.values():
+            assert seen[0] > 0
+            assert all(a < b for a, b in zip(seen, seen[1:]))
 
 
 class TestGuardOrderIndependence:
